@@ -4,9 +4,11 @@ The pipeline mirrors honest online evaluation: every instance is predicted
 and recorded before its label is revealed to the model, so a chunk's metrics
 never leak information from the model updates it triggers. Each chunk is
 reduced to a fixed number of principal components (fit on that chunk),
-standardized, evaluated instance by instance, and then folded into the
-ensemble. With the default chunk-aligned windows, the whole chunk becomes
-one training window at its end.
+standardized, evaluated, and then folded into the ensemble. The ensemble
+only changes when its buffer flushes into a training round, so the
+instances between two flushes are predicted as one block and then recorded
+and absorbed one at a time; with the default chunk-aligned windows the whole
+chunk is one block and becomes one training window at its end.
 
 A chunk report carries F1, AUC, miss rate, and raw counts, plus a drift
 alarm: the alarm fires when the chunk's F1 falls more than a configured drop
@@ -21,7 +23,14 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .core import Chunk, PredictionRecord, validate_chunk, standardize_chunk
-from .errors import DimensionError, EmptyEnsemble, PretrainFailed, RoundFailed, UndefinedAUC
+from .errors import (
+    DegenerateData,
+    DimensionError,
+    EmptyEnsemble,
+    PretrainFailed,
+    RoundFailed,
+    UndefinedAUC,
+)
 from .learnpp import LearnPPConfig, LearnPPModel
 from .metrics import auc, confusion, f1, fnr
 from .pca import pca_fit, pca_transform
@@ -178,10 +187,11 @@ def pretrain(
         model.fit_initial(reduced.instances)
     except RoundFailed as exc:
         raise PretrainFailed(f"initial training round failed: {exc}") from exc
-    records = []
-    for inst in reduced.instances:
-        predicted, score = model.predict(inst.features)
-        records.append(PredictionRecord(initial.id, inst.index, inst.label, predicted, score))
+    labels, scores = model.predict(reduced.feature_matrix())
+    records = [
+        PredictionRecord(initial.id, inst.index, inst.label, predicted, score)
+        for inst, predicted, score in zip(reduced.instances, labels, scores)
+    ]
     report = _report(initial.id, records, history=(), config=config)
     return model, report, records
 
@@ -192,34 +202,63 @@ def process_chunk(
     config: RunConfig,
     history: Sequence[ChunkReport] = (),
 ) -> tuple[ChunkReport, list[PredictionRecord]]:
-    """Evaluate and absorb one chunk, instance by instance.
+    """Evaluate and absorb one chunk in arrival order.
 
-    For each instance in arrival order: predict, record, compare against the
-    revealed truth, then hand the instance to the model. With chunk-aligned
-    windows the buffered chunk is flushed into one training round at the
-    end. ``history`` supplies the drift-alarm baseline.
+    Each instance is predicted, recorded and compared against the revealed
+    truth before the model absorbs it. Predictions are made one segment at
+    a time: the instances up to the next buffer flush (the whole chunk with
+    chunk-aligned windows), during which the ensemble cannot change. With
+    chunk-aligned windows the buffered chunk is flushed into one training
+    round at the end. ``history`` supplies the drift-alarm baseline.
 
     A failed training round stops the chunk; the report then covers the
     instances processed so far and carries the failure note, and the model
-    keeps its buffer so a later window can absorb it.
+    keeps its buffer so a later window can absorb it. A chunk that fails
+    validation or cannot be reduced yields a report with the error set and
+    no records, and leaves the model untouched.
     """
     if not model.hypotheses:
         raise EmptyEnsemble("model has no hypotheses; pretrain before processing chunks")
     if len(chunk) == 0:
         return _report(chunk.id, [], history, config), []
-    reduced = reduce_chunk(chunk, config.pc_count)
+    violations = validate_chunk(chunk).violations
+    if violations:
+        first = violations[0]
+        note = (
+            f"chunk {chunk.id} is invalid ({len(violations)} violations; "
+            f"first at instance {first.index}: {first.reason})"
+        )
+        logger.error("%s", note)
+        return _report(chunk.id, [], history, config, error=note), []
+    try:
+        reduced = reduce_chunk(chunk, config.pc_count)
+    except (DimensionError, DegenerateData) as exc:
+        note = f"chunk {chunk.id} cannot be reduced: {exc}"
+        logger.error("%s", note)
+        return _report(chunk.id, [], history, config, error=note), []
+    instances = reduced.instances
+    features = reduced.feature_matrix()
+    window_size = model.config.window_size
     records: list[PredictionRecord] = []
     error_note: str | None = None
-    for inst in reduced.instances:
-        predicted, score = model.predict(inst.features)
-        records.append(PredictionRecord(chunk.id, inst.index, inst.label, predicted, score))
-        try:
-            model.partial_fit(inst, was_correct=(predicted == inst.label))
-        except RoundFailed as exc:
-            error_note = str(exc)
-            logger.error("chunk %s: training round failed (%s)", chunk.id, exc)
-            break
-    if error_note is None and model.config.window_size is None:
+    start = 0
+    while start < len(instances) and error_note is None:
+        # a buffer at or past the window size (a failed round kept it)
+        # flushes on the next instance
+        stop = len(instances)
+        if window_size is not None:
+            stop = min(stop, start + max(1, window_size - model.buffer_size))
+        labels, scores = model.predict(features[start:stop])
+        for inst, predicted, score in zip(instances[start:stop], labels, scores):
+            records.append(PredictionRecord(chunk.id, inst.index, inst.label, predicted, score))
+            try:
+                model.partial_fit(inst, was_correct=(predicted == inst.label))
+            except RoundFailed as exc:
+                error_note = str(exc)
+                logger.error("chunk %s: training round failed (%s)", chunk.id, exc)
+                break
+        start = stop
+    if error_note is None and window_size is None:
         try:
             model.flush_window()
         except RoundFailed as exc:

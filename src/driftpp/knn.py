@@ -1,8 +1,12 @@
 """K-nearest-neighbor weak learner over a Minkowski metric.
 
-Prediction is an exhaustive scan of the stored points. Distance ties at the
-neighborhood boundary are broken toward the lower stored-point index, so
-results are reproducible regardless of query batching.
+The neighbors of a query are the first k stored points in (distance, stored
+index) order, so distance ties at the neighborhood boundary go to the lower
+stored-point index and results are reproducible regardless of query
+batching. For the Euclidean metric, the squared distance in matrix-product
+form shortlists the points that can be among the k nearest, and only those
+get their exact distance. Other metrics, and query blocks whose shortlist
+would be no smaller than the model, scan every stored point.
 """
 from __future__ import annotations
 
@@ -16,8 +20,10 @@ from .errors import DimensionError, EmptyTrainingSet
 
 __all__ = ["KnnConfig", "KnnModel", "minkowski_distance", "knn_fit", "knn_predict", "knn_predict_batch"]
 
-# cap on scratch memory for pairwise distances, in float64 cells
+# cap on scratch memory per block of query rows, in float64 cells
 _BLOCK_CELLS = 2_000_000
+
+_EPS = np.finfo(np.float64).eps
 
 
 @dataclass(frozen=True)
@@ -58,26 +64,91 @@ def minkowski_distance(a, b, p: float = 2.0) -> float:
     return float(_pairwise(a[None, :], b[None, :], p)[0, 0])
 
 
+def _minkowski(diff: np.ndarray, p: float) -> np.ndarray:
+    """Reduce coordinate differences |q - x| over the last axis to distances.
+
+    Each (query, point) pair is reduced on its own, so the result for a pair
+    does not depend on which other pairs share the array.
+    """
+    if p == 2.0:
+        return np.sqrt((diff * diff).sum(axis=-1))
+    if p == 1.0:
+        return diff.sum(axis=-1)
+    return (diff**p).sum(axis=-1) ** (1.0 / p)
+
+
 def _pairwise(points: np.ndarray, queries: np.ndarray, p: float) -> np.ndarray:
     """Distances from every query row to every stored row, shape (n_q, n_p).
 
-    Computed in row blocks to bound scratch memory; blocking never changes
-    the result because each (query, point) pair is reduced independently.
+    Scratch memory is n_q * n_p * d cells; callers pass row blocks.
+    """
+    return _minkowski(np.abs(queries[:, None, :] - points[None, :, :]), p)
+
+
+def _first_k(dist: np.ndarray, k: int) -> np.ndarray:
+    """Mask of the first k entries of each row in (distance, position) order.
+
+    That is every entry below the row's k-th smallest distance, then the
+    lowest positions among those equal to it: the first k of a stable
+    argsort, without sorting the row.
+    """
+    kth = np.partition(dist, k - 1, axis=1)[:, k - 1 : k]
+    nearer = dist < kth
+    tied = dist == kth
+    room = k - nearer.sum(axis=1, keepdims=True)
+    chosen = nearer | (tied & (np.cumsum(tied, axis=1) <= room))
+    nan_rows = np.flatnonzero(np.isnan(kth[:, 0]))
+    if nan_rows.size:
+        # NaN compares equal to nothing; a stable sort puts NaN last
+        order = np.argsort(dist[nan_rows], axis=1, kind="stable")[:, :k]
+        chosen[nan_rows] = False
+        chosen[nan_rows[:, None], order] = True
+    return chosen
+
+
+def _euclidean_shortlist(points: np.ndarray, block: np.ndarray, k: int) -> np.ndarray | None:
+    """Indices of the k nearest points (p=2) for each query row, shape
+    (n_rows, k), or None when the shortlist would not be smaller than the
+    model (or the inputs are not finite), so that a full scan is no dearer.
+
+    Rounding bound. Let u = eps/2 and R = |q| + max|x|, which bounds the
+    true distance D as well as |q|^2, |x|^2 and 2|q.x|. The matrix-product
+    value g = |q|^2 + |x|^2 - 2 q.x carries at most gamma_d = d*u/(1 - d*u)
+    relative error in each of its three sums of non-negative terms, plus
+    two roundings when they are combined, so |g - D^2| <= gamma_{d+2} R^2.
+    The exact path rounds the difference, its square and a d-term sum, so
+    its squared distance s obeys the same bound. If g_k is the k-th smallest
+    g, k points have s <= g_k + 2 gamma_{d+2} R^2, so the k-th smallest s
+    is no larger. After the square root a point ties the k-th distance only
+    if its s is at most (1+u)^2/(1-u)^2 times the k-th, an excess under
+    5u R^2. Every true neighbor thus has
+    g <= g_k + 4 gamma_{d+2} R^2 + 5u R^2, about (4d + 13)u R^2 above g_k.
+    The shortlist keeps g <= g_k + 4(d + 8) eps R^2 = g_k + (8d + 64)u R^2,
+    about twice that, which also covers the rounding of R and of the
+    threshold itself.
     """
     n_p, d = points.shape
-    n_q = queries.shape[0]
-    out = np.empty((n_q, n_p))
-    step = max(1, _BLOCK_CELLS // max(1, n_p * d))
-    for start in range(0, n_q, step):
-        stop = min(start + step, n_q)
-        diff = np.abs(queries[start:stop, None, :] - points[None, :, :])
-        if p == 2.0:
-            out[start:stop] = np.sqrt((diff * diff).sum(axis=-1))
-        elif p == 1.0:
-            out[start:stop] = diff.sum(axis=-1)
-        else:
-            out[start:stop] = (diff**p).sum(axis=-1) ** (1.0 / p)
-    return out
+    sq_points = np.einsum("ij,ij->i", points, points)
+    sq_block = np.einsum("ij,ij->i", block, block)
+    scale = (np.sqrt(sq_block) + np.sqrt(sq_points.max())) ** 2
+    # every term of g is at most scale in magnitude; this also rejects NaN
+    if not np.isfinite(2.0 * scale).all():
+        return None
+    gram = sq_block[:, None] + sq_points[None, :] - 2.0 * (block @ points.T)
+    kth = np.partition(gram, k - 1, axis=1)[:, k - 1]
+    keep = gram <= (kth + 4.0 * (d + 8) * _EPS * scale)[:, None]
+    counts = keep.sum(axis=1)
+    width = int(counts.max())
+    if width >= n_p:
+        return None
+    rows, cols = np.nonzero(keep)
+    slots = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    candidates = np.zeros((len(block), width), dtype=np.intp)
+    candidates[rows, slots] = cols
+    # padding sorts after every real candidate, and each row has at least k
+    dist = np.full((len(block), width), np.inf)
+    dist[rows, slots] = _minkowski(np.abs(block[rows] - points[cols]), 2.0)
+    return candidates[_first_k(dist, k)].reshape(-1, k)
 
 
 def knn_fit(config: KnnConfig, data: Sequence[LabeledInstance]) -> KnnModel:
@@ -101,17 +172,22 @@ def knn_predict_batch(model: KnnModel, queries: np.ndarray) -> tuple[np.ndarray,
     stored points. A query at exactly 0.5 resolves to label 0. Output is
     identical to predicting each row on its own.
     """
-    queries = np.asarray(queries, dtype=np.float64)
+    queries = np.ascontiguousarray(queries, dtype=np.float64)
     if queries.ndim != 2 or queries.shape[1] != model.dimensionality:
         raise DimensionError(
             f"query shape {queries.shape} does not match model dimensionality {model.dimensionality}"
         )
+    points, p = model.features, model.config.p
     k = min(model.config.k, model.n_points)
-    dist = _pairwise(model.features, queries, model.config.p)
-    # stable sort keeps the lower stored index first among tied distances
-    order = np.argsort(dist, axis=1, kind="stable")[:, :k]
-    neighbor_labels = model.labels[order]
-    scores = neighbor_labels.sum(axis=1) / k
+    positives = np.empty(len(queries), dtype=np.int64)
+    step = max(1, _BLOCK_CELLS // max(1, points.size))
+    for start in range(0, len(queries), step):
+        block = queries[start : start + step]
+        nearest = _euclidean_shortlist(points, block, k) if p == 2.0 else None
+        if nearest is None:
+            nearest = np.nonzero(_first_k(_pairwise(points, block, p), k))[1].reshape(-1, k)
+        positives[start : start + step] = model.labels[nearest].sum(axis=1)
+    scores = positives / k
     labels = (scores > 0.5).astype(np.int64)
     return labels, scores
 

@@ -38,7 +38,7 @@ from .errors import (
     EmptyWindow,
     RoundFailed,
 )
-from .knn import KnnConfig, KnnModel, knn_fit, knn_predict, knn_predict_batch
+from .knn import KnnConfig, KnnModel, knn_fit, knn_predict_batch
 
 __all__ = [
     "BETA_FLOOR",
@@ -204,6 +204,27 @@ def _vote_mass(
     return mass0, mass1
 
 
+def _weighted_vote(
+    prediction_rows: Sequence[np.ndarray], vote_weights: Sequence[float], n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Composite labels and class-1 scores of n instances from each
+    hypothesis's predictions. The class with the larger vote mass wins and a
+    tie resolves to 0; the score is the class-1 share of the mass (0.5 when
+    no mass was cast)."""
+    mass0, mass1 = _vote_mass(prediction_rows, vote_weights, n)
+    total = mass0 + mass1
+    scores = np.divide(mass1, total, out=np.full(n, 0.5), where=total > 0.0)
+    return (mass1 > mass0).astype(np.int64), scores
+
+
+def _composite(hypotheses: Sequence[WeakHypothesis], features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Composite labels and scores of an (n, d) feature block."""
+    if not hypotheses:
+        raise EmptyEnsemble("no hypotheses to vote with")
+    rows = [knn_predict_batch(hyp.model, features)[0] for hyp in hypotheses]
+    return _weighted_vote(rows, [hyp.vote_weight for hyp in hypotheses], len(features))
+
+
 def composite_vote(hypotheses: Sequence[WeakHypothesis], x) -> tuple[ClassLabel, float]:
     """Weighted majority vote of the ensemble on one query.
 
@@ -211,27 +232,11 @@ def composite_vote(hypotheses: Sequence[WeakHypothesis], x) -> tuple[ClassLabel,
     with the larger total wins and a tied vote resolves to 0. The score is
     the class-1 share of the total vote mass (0.5 when no mass was cast).
     """
-    if not hypotheses:
-        raise EmptyEnsemble("no hypotheses to vote with")
-    mass0 = 0.0
-    mass1 = 0.0
-    for hyp in hypotheses:
-        label, _ = knn_predict(hyp.model, x)
-        if label == ClassLabel.POSITIVE:
-            mass1 += hyp.vote_weight
-        else:
-            mass0 += hyp.vote_weight
-    total = mass0 + mass1
-    score = mass1 / total if total > 0.0 else 0.5
-    label = ClassLabel.POSITIVE if mass1 > mass0 else ClassLabel.NEGATIVE
-    return label, score
-
-
-def _composite_predictions(
-    prediction_rows: Sequence[np.ndarray], vote_weights: Sequence[float], n: int
-) -> np.ndarray:
-    mass0, mass1 = _vote_mass(prediction_rows, vote_weights, n)
-    return (mass1 > mass0).astype(np.int64)
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 1:
+        raise DimensionError(f"expected a 1-D query vector, got shape {x.shape}")
+    labels, scores = _composite(hypotheses, x[None, :])
+    return ClassLabel(int(labels[0])), float(scores[0])
 
 
 def composite_error(
@@ -245,15 +250,12 @@ def composite_error(
     if len(window) != len(dist):
         raise DimensionError(f"window has {len(window)} instances but distribution has {len(dist)}")
     features, labels = _window_arrays(window)
-    rows = [knn_predict_batch(hyp.model, features)[0] for hyp in hypotheses]
-    weights = [hyp.vote_weight for hyp in hypotheses]
-    composite = _composite_predictions(rows, weights, len(window))
+    composite, _ = _composite(hypotheses, features)
     return float(dist.weights[composite != labels].sum())
 
 
-def normalize_composite_error(e: float) -> float:
-    """Map a composite error E in (0, 0.5) to E/(1-E) in (0, 1)."""
-    return e / (1.0 - e)
+# the composite error E is normalized by the same map as a weak learner's
+normalize_composite_error = normalize_error
 
 
 def update_weights(dist: WeightDistribution, correct_mask, decay: float) -> WeightDistribution:
@@ -334,7 +336,7 @@ def run_round(
         accepted.append(hypothesis)
         accepted_rows.append(predictions)
 
-        composite = _composite_predictions(
+        composite, _ = _weighted_vote(
             prior_rows + accepted_rows,
             prior_votes + [hyp.vote_weight for hyp in accepted],
             n,
@@ -371,9 +373,17 @@ class LearnPPModel:
     def buffer_size(self) -> int:
         return len(self._buffer)
 
-    def predict(self, x) -> tuple[ClassLabel, float]:
-        """Composite vote of all retained hypotheses on one query."""
-        return composite_vote(self.hypotheses, x)
+    def predict(self, x) -> tuple[ClassLabel, float] | tuple[np.ndarray, np.ndarray]:
+        """Composite vote of all retained hypotheses.
+
+        A (d,) query returns ``(ClassLabel, score)``; an (n, d) block returns
+        ``(labels, scores)`` arrays, row for row equal to predicting each
+        query on its own. See :func:`composite_vote`.
+        """
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim == 1:
+            return composite_vote(self.hypotheses, x)
+        return _composite(self.hypotheses, x)
 
     def fit_initial(self, window: Sequence[LabeledInstance]) -> None:
         """Train one full round on ``window`` under uniform weights.

@@ -12,8 +12,8 @@ from driftpp.adaptive import (
     reduce_chunk,
     run_experiment,
 )
-from driftpp.core import Chunk
-from driftpp.errors import DimensionError, EmptyEnsemble, PretrainFailed
+from driftpp.core import Chunk, PredictionRecord
+from driftpp.errors import DimensionError, EmptyEnsemble, PretrainFailed, RoundFailed
 from driftpp.learnpp import LearnPPConfig, LearnPPModel
 
 from conftest import make_chunk
@@ -192,6 +192,112 @@ class TestProcessChunk:
 
         assert records_b[37].predicted == records_a[37].predicted
         assert records_b[37].score == records_a[37].score
+
+
+def per_instance_records(model, chunk, config):
+    """Reference for process_chunk: predict one row, record it, then
+    partial_fit, one instance at a time."""
+    reduced = reduce_chunk(chunk, config.pc_count)
+    records = []
+    for inst in reduced.instances:
+        predicted, score = model.predict(inst.features)
+        records.append(PredictionRecord(chunk.id, inst.index, inst.label, predicted, score))
+        try:
+            model.partial_fit(inst, was_correct=(predicted == inst.label))
+        except RoundFailed:
+            return records
+    if model.config.window_size is None:
+        try:
+            model.flush_window()
+        except RoundFailed:
+            pass
+    return records
+
+
+def scrambled_head_chunk(chunk_id, n, seed, head):
+    """A cluster chunk whose first ``head`` labels are random."""
+    chunk = cluster_chunk(chunk_id, n, seed)
+    labels = chunk.labels()
+    labels[:head] = np.random.default_rng(seed).integers(0, 2, head)
+    return make_chunk(chunk_id, chunk.feature_matrix(), labels)
+
+
+class TestSegmentBatching:
+    """process_chunk predicts the instances between two flushes as one
+    block; its records and model state must equal the per-instance loop."""
+
+    @staticmethod
+    def assert_matches_per_instance(config, chunks):
+        initial = cluster_chunk("initial", 200, seed=1)
+        batched, first, _ = pretrain(initial, config)
+        reference, _, _ = pretrain(initial, config)
+        buffers = []
+        for chunk in chunks:
+            buffers.append(batched.buffer_size)
+            _, records = process_chunk(batched, chunk, config, [first])
+            assert records == per_instance_records(reference, chunk, config)
+            assert len(batched.hypotheses) == len(reference.hypotheses)
+            assert batched.buffer_size == reference.buffer_size
+            assert batched.windows_completed == reference.windows_completed
+        return buffers
+
+    def test_chunk_aligned_windows(self):
+        chunks = [cluster_chunk("b", 150, seed=2), cluster_chunk("c", 150, seed=3, flip=True)]
+        self.assert_matches_per_instance(small_config(), chunks)
+
+    def test_fixed_window(self):
+        config = RunConfig(learnpp=LearnPPConfig(seed=0, window_size=25), pc_count=2)
+        chunks = [
+            cluster_chunk("b", 110, seed=2),
+            cluster_chunk("c", 110, seed=3, flip=True),
+            cluster_chunk("d", 110, seed=4),
+        ]
+        self.assert_matches_per_instance(config, chunks)
+
+    def test_failed_round_leaves_length_one_segments(self):
+        # the scrambled head fails the first window's round, which stops the
+        # chunk and keeps a full buffer; the next chunk then starts with a
+        # one-instance segment whose flush succeeds
+        learnpp = LearnPPConfig(seed=0, window_size=20, error_threshold=0.3, max_retries=3)
+        config = RunConfig(learnpp=learnpp, pc_count=2)
+        chunks = [
+            scrambled_head_chunk("a", 60, seed=7, head=20),
+            cluster_chunk("b", 60, seed=8),
+            cluster_chunk("c", 60, seed=9),
+        ]
+        buffers = self.assert_matches_per_instance(config, chunks)
+        assert buffers[1] >= learnpp.window_size
+
+
+class TestChunkFailurePolicy:
+    @staticmethod
+    def bad_chunk(kind):
+        chunk = cluster_chunk("bad", 50, seed=60)
+        rows, labels = chunk.feature_matrix(), chunk.labels()
+        if kind == "short":
+            return make_chunk("bad", rows[:2], labels[:2])  # fewer rows than pc_count
+        if kind == "constant":
+            return make_chunk("bad", np.ones_like(rows), labels)
+        rows[7, 1] = np.nan
+        return make_chunk("bad", rows, labels)
+
+    @pytest.mark.parametrize("kind", ["short", "constant", "nan"])
+    def test_bad_chunk_reports_error_and_run_continues(self, kind):
+        config = small_config(pc_count=3)
+        initial = cluster_chunk("chunk_000", 200, seed=50)
+        bad = self.bad_chunk(kind)
+        model, first, _ = pretrain(initial, config)
+        before = (list(model.hypotheses), model.buffer_size, model.windows_completed)
+        report, records = process_chunk(model, bad, config, [first])
+        assert records == []
+        assert report.error is not None
+        assert report.evaluated_count == 0
+        assert report.drift_alarm is False
+        assert (list(model.hypotheses), model.buffer_size, model.windows_completed) == before
+
+        reports = run_experiment(initial, [bad, cluster_chunk("chunk_002", 200, seed=52)], config)
+        assert [r.error is not None for r in reports] == [False, True, False]
+        assert reports[2].f1 >= 0.9
 
 
 class TestRunExperiment:

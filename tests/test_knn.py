@@ -175,3 +175,48 @@ class TestPredict:
             knn_predict_batch(model, queries)[0],
             knn_predict_batch(shuffled, queries)[0],
         )
+
+
+class TestNeighborSearchExactness:
+    """knn_predict_batch against the sorted (distance, index) oracle where
+    the squared-distance shortlist is most likely to go wrong."""
+
+    @staticmethod
+    def assert_matches_oracle(model, queries):
+        labels, scores = knn_predict_batch(model, queries)
+        for i, q in enumerate(queries):
+            want_label, want_score = brute_force_predict(model, q)
+            assert labels[i] == want_label
+            assert scores[i] == want_score
+
+    @pytest.mark.parametrize("offset", [1e3, 1e6])
+    def test_large_offset_coordinates(self, offset):
+        # |q|^2 + |x|^2 - 2 q.x cancels almost every digit here: at 1e3 the
+        # shortlist is still narrower than the model, at 1e6 it is not
+        gen = np.random.default_rng(int(offset))
+        rows = offset + gen.normal(scale=1e-3, size=(300, 5))
+        model = knn_fit(KnnConfig(k=3), make_instances(rows, gen.integers(0, 2, 300)))
+        queries = np.vstack([offset + gen.normal(scale=1e-3, size=(30, 5)), rows[:10]])
+        self.assert_matches_oracle(model, queries)
+
+    @pytest.mark.parametrize("k", [1, 3, 5, 7])
+    def test_integer_grid_with_many_ties(self, k):
+        gen = np.random.default_rng(40 + k)
+        rows = gen.integers(0, 4, (500, 6)).astype(float)
+        model = knn_fit(KnnConfig(k=k), make_instances(rows, gen.integers(0, 2, 500)))
+        self.assert_matches_oracle(model, gen.integers(0, 4, (40, 6)).astype(float))
+
+    @pytest.mark.parametrize("p", [1.0, 3.0])
+    def test_full_scan_metrics(self, p):
+        gen = np.random.default_rng(int(p))
+        rows = np.vstack([gen.normal(size=(150, 4)), gen.integers(0, 3, (50, 4))])
+        model = knn_fit(KnnConfig(k=5, p=p), make_instances(rows, gen.integers(0, 2, 200)))
+        queries = np.vstack([gen.normal(size=(20, 4)), gen.integers(0, 3, (20, 4))])
+        self.assert_matches_oracle(model, queries)
+
+    def test_nan_query_takes_first_stored_points(self):
+        # every distance is NaN, which a stable sort leaves in stored order
+        model = knn_fit(KnnConfig(k=3), make_instances(np.eye(5), [1, 1, 0, 0, 0]))
+        labels, scores = knn_predict_batch(model, np.full((1, 5), np.nan))
+        assert scores[0] == pytest.approx(2.0 / 3.0)
+        assert labels[0] == 1
