@@ -40,6 +40,7 @@ __all__ = [
     "ChunkReport",
     "reduce_chunk",
     "drift_alarm",
+    "chunk_report",
     "pretrain",
     "process_chunk",
     "run_experiment",
@@ -127,13 +128,16 @@ def _baseline_f1(history: Sequence[ChunkReport]) -> list[float]:
     return [report.f1 for report in history if report.evaluated_count > 0]
 
 
-def _report(
+def chunk_report(
     chunk_id: str,
     records: Sequence[PredictionRecord],
     history: Sequence[ChunkReport],
     config: RunConfig,
     error: str | None = None,
 ) -> ChunkReport:
+    """Summarize one chunk's records. ``history`` holds the reports of the
+    preceding chunks, whose F1 values form the drift-alarm baseline; AUC is
+    NaN when the records hold fewer than two classes."""
     counts = confusion(records)
     try:
         auc_value = auc(records) if records else math.nan
@@ -176,7 +180,7 @@ def pretrain(
         )
     if len(initial) == 0:
         raise PretrainFailed(f"initial chunk {initial.id} is empty")
-    present = set(int(label) for label in initial.labels())
+    present = set(initial.labels.tolist())
     if len(present) < 2:
         raise PretrainFailed(
             f"initial chunk {initial.id} holds only class {present.pop()}"
@@ -184,15 +188,17 @@ def pretrain(
     reduced = reduce_chunk(initial, config.pc_count)
     model = LearnPPModel(config.learnpp)
     try:
-        model.fit_initial(reduced.instances)
+        model.fit_initial(reduced.features, reduced.labels)
     except RoundFailed as exc:
         raise PretrainFailed(f"initial training round failed: {exc}") from exc
-    labels, scores = model.predict(reduced.feature_matrix())
+    predicted, scores = model.predict(reduced.features)
     records = [
-        PredictionRecord(initial.id, inst.index, inst.label, predicted, score)
-        for inst, predicted, score in zip(reduced.instances, labels, scores)
+        PredictionRecord(initial.id, i, truth, guess, score)
+        for i, (truth, guess, score) in enumerate(
+            zip(reduced.labels.tolist(), predicted.tolist(), scores.tolist())
+        )
     ]
-    report = _report(initial.id, records, history=(), config=config)
+    report = chunk_report(initial.id, records, history=(), config=config)
     return model, report, records
 
 
@@ -213,14 +219,15 @@ def process_chunk(
 
     A failed training round stops the chunk; the report then covers the
     instances processed so far and carries the failure note, and the model
-    keeps its buffer so a later window can absorb it. A chunk that fails
+    keeps its newest buffered instances (at most one window) so a later
+    round can absorb them. A chunk that fails
     validation or cannot be reduced yields a report with the error set and
     no records, and leaves the model untouched.
     """
     if not model.hypotheses:
         raise EmptyEnsemble("model has no hypotheses; pretrain before processing chunks")
     if len(chunk) == 0:
-        return _report(chunk.id, [], history, config), []
+        return chunk_report(chunk.id, [], history, config), []
     violations = validate_chunk(chunk).violations
     if violations:
         first = violations[0]
@@ -229,30 +236,29 @@ def process_chunk(
             f"first at instance {first.index}: {first.reason})"
         )
         logger.error("%s", note)
-        return _report(chunk.id, [], history, config, error=note), []
+        return chunk_report(chunk.id, [], history, config, error=note), []
     try:
         reduced = reduce_chunk(chunk, config.pc_count)
     except (DimensionError, DegenerateData) as exc:
         note = f"chunk {chunk.id} cannot be reduced: {exc}"
         logger.error("%s", note)
-        return _report(chunk.id, [], history, config, error=note), []
-    instances = reduced.instances
-    features = reduced.feature_matrix()
+        return chunk_report(chunk.id, [], history, config, error=note), []
+    features, labels = reduced.features, reduced.labels.tolist()
     window_size = model.config.window_size
     records: list[PredictionRecord] = []
     error_note: str | None = None
     start = 0
-    while start < len(instances) and error_note is None:
-        # a buffer at or past the window size (a failed round kept it)
-        # flushes on the next instance
-        stop = len(instances)
+    while start < len(labels) and error_note is None:
+        # a buffer at the window size (a failed round kept it) flushes on
+        # the next instance
+        stop = len(labels)
         if window_size is not None:
             stop = min(stop, start + max(1, window_size - model.buffer_size))
-        labels, scores = model.predict(features[start:stop])
-        for inst, predicted, score in zip(instances[start:stop], labels, scores):
-            records.append(PredictionRecord(chunk.id, inst.index, inst.label, predicted, score))
+        predicted, scores = model.predict(features[start:stop])
+        for i, guess, score in zip(range(start, stop), predicted.tolist(), scores.tolist()):
+            records.append(PredictionRecord(chunk.id, i, labels[i], guess, score))
             try:
-                model.partial_fit(inst, was_correct=(predicted == inst.label))
+                model.partial_fit(features[i], labels[i], was_correct=(guess == labels[i]))
             except RoundFailed as exc:
                 error_note = str(exc)
                 logger.error("chunk %s: training round failed (%s)", chunk.id, exc)
@@ -264,7 +270,7 @@ def process_chunk(
         except RoundFailed as exc:
             error_note = str(exc)
             logger.error("chunk %s: end-of-chunk round failed (%s)", chunk.id, exc)
-    report = _report(chunk.id, records, history, config, error=error_note)
+    report = chunk_report(chunk.id, records, history, config, error=error_note)
     return report, records
 
 

@@ -13,19 +13,17 @@ import glob as globlib
 import hashlib
 import json
 import logging
-import math
 import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from .adaptive import ChunkReport, RunConfig, drift_alarm, run_experiment
+from .adaptive import ChunkReport, RunConfig, chunk_report, run_experiment
 from .core import PredictionRecord
 from .data import DriftSpec, StreamSpec, generate_stream, read_chunk_csv, write_chunk_csv
 from .errors import ConfigError, DriftppError
 from .knn import KnnConfig
 from .learnpp import LearnPPConfig
-from .metrics import auc, confusion, f1, fnr
 
 __all__ = ["main", "cmd_generate", "cmd_run", "cmd_report"]
 
@@ -179,23 +177,22 @@ def _format_value(value) -> str:
     return str(value)
 
 
+def _report_row(report: ChunkReport) -> list[str]:
+    """One chunk's cells under REPORT_COLUMNS."""
+    return [
+        report.chunk_id,
+        _format_value(report.f1),
+        _format_value(report.auc),
+        _format_value(report.fnr),
+        str(report.correct_count),
+        str(report.incorrect_count),
+        _format_value(report.percent_correct),
+        _format_value(report.drift_alarm),
+    ]
+
+
 def _write_reports_csv(reports: list[ChunkReport], path: Path) -> None:
-    lines = [",".join(REPORT_COLUMNS)]
-    for report in reports:
-        lines.append(
-            ",".join(
-                [
-                    report.chunk_id,
-                    _format_value(report.f1),
-                    _format_value(report.auc),
-                    _format_value(report.fnr),
-                    str(report.correct_count),
-                    str(report.incorrect_count),
-                    _format_value(report.percent_correct),
-                    _format_value(report.drift_alarm),
-                ]
-            )
-        )
+    lines = [",".join(REPORT_COLUMNS)] + [",".join(_report_row(report)) for report in reports]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -302,32 +299,10 @@ def cmd_report(args: argparse.Namespace) -> int:
     config = RunConfig(
         drift_f1_drop=args.drift_f1_drop, drift_baseline_window=args.drift_baseline_window
     )
-    rows = [REPORT_COLUMNS]
-    baseline: list[float] = []
+    reports: list[ChunkReport] = []
     for chunk_id, records in grouped.items():
-        counts = confusion(records)
-        try:
-            auc_value = auc(records)
-        except DriftppError:
-            auc_value = math.nan
-        f1_value = f1(counts)
-        correct = counts.tp + counts.tn
-        incorrect = counts.fp + counts.fn
-        alarm = bool(baseline) and drift_alarm(f1_value, baseline, config)
-        rows.append(
-            [
-                chunk_id,
-                _format_value(f1_value),
-                _format_value(auc_value),
-                _format_value(fnr(counts)),
-                str(correct),
-                str(incorrect),
-                _format_value(correct / (correct + incorrect)),
-                _format_value(alarm),
-            ]
-        )
-        baseline.append(f1_value)
-    _print_report_table(rows)
+        reports.append(chunk_report(chunk_id, records, reports, config))
+    _print_report_table([REPORT_COLUMNS] + [_report_row(report) for report in reports])
     return 0
 
 

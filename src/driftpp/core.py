@@ -1,15 +1,16 @@
 """Shared domain types for streaming binary classification.
 
-A stream arrives as ordered chunks of labeled instances. Everything downstream
-(weak learners, ensemble rounds, the evaluation harness) works in terms of the
-types defined here. All of them are immutable after construction and safe to
-share between threads.
+A stream arrives as ordered chunks of labeled instances. A chunk is
+columnar: an (n, d) float64 feature matrix and an (n,) int64 label vector,
+and an instance is a row of both, its index the row position. Everything
+downstream (PCA, weak learners, ensemble rounds, the evaluation harness)
+passes these arrays along. All types here are immutable after construction
+and safe to share between threads.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -17,7 +18,6 @@ from .errors import DimensionError
 
 __all__ = [
     "ClassLabel",
-    "LabeledInstance",
     "Chunk",
     "PredictionRecord",
     "ChunkViolation",
@@ -35,75 +35,45 @@ class ClassLabel(IntEnum):
     POSITIVE = 1
 
 
-def _frozen_array(values, dtype=np.float64) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
+def _frozen_array(values, dtype) -> np.ndarray:
+    arr = np.array(values, dtype=dtype, order="C")
     arr.flags.writeable = False
     return arr
-
-
-@dataclass(frozen=True, eq=False)
-class LabeledInstance:
-    """One observation: a real feature vector, its label, and its 0-based
-    ordinal position within the owning chunk."""
-
-    features: np.ndarray
-    label: ClassLabel
-    index: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "features", _frozen_array(self.features))
-        object.__setattr__(self, "label", ClassLabel(self.label))
 
 
 @dataclass(frozen=True, eq=False)
 class Chunk:
     """An ordered batch of instances sharing one dimensionality.
 
-    Instances preserve arrival order. Structural problems (ragged vectors,
-    non-finite features, out-of-order indices) are reported by
-    :func:`validate_chunk` as data rather than raised here, so that a reader
-    can surface every defect in a file at once.
+    ``features`` is an (n, d) float64 array and ``labels`` an (n,) int64
+    array of 0/1; both are read-only copies of the inputs, and row i of each
+    is the instance at arrival position i. Non-finite features are reported
+    by :func:`validate_chunk` as data rather than raised here, so that a
+    reader can surface every defect in a file at once.
     """
 
     id: str
-    instances: tuple[LabeledInstance, ...]
-    dimensionality: int
+    features: np.ndarray
+    labels: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "instances", tuple(self.instances))
+        features = _frozen_array(self.features, np.float64)
+        labels = np.asarray(self.labels)
+        if features.ndim != 2:
+            raise DimensionError(f"expected a 2-D feature array, got shape {features.shape}")
+        if labels.shape != features.shape[:1]:
+            raise DimensionError(f"{features.shape[0]} feature rows but labels of shape {labels.shape}")
+        if not np.all((labels == 0) | (labels == 1)):
+            raise ValueError("labels must be 0 or 1")
+        object.__setattr__(self, "features", features)
+        object.__setattr__(self, "labels", _frozen_array(labels, np.int64))
 
     def __len__(self) -> int:
-        return len(self.instances)
+        return self.labels.size
 
-    def __iter__(self) -> Iterator[LabeledInstance]:
-        return iter(self.instances)
-
-    def feature_matrix(self) -> np.ndarray:
-        """All feature vectors stacked into an (n, d) array."""
-        if not self.instances:
-            return np.zeros((0, self.dimensionality))
-        return np.stack([inst.features for inst in self.instances])
-
-    def labels(self) -> np.ndarray:
-        """All labels as an (n,) int array."""
-        return np.array([int(inst.label) for inst in self.instances], dtype=np.int64)
-
-    @classmethod
-    def from_arrays(cls, chunk_id: str, features, labels) -> "Chunk":
-        """Build a chunk from an (n, d) feature array and an (n,) label array."""
-        feats = np.asarray(features, dtype=np.float64)
-        if feats.ndim != 2:
-            raise DimensionError(f"expected a 2-D feature array, got shape {feats.shape}")
-        labs = np.asarray(labels)
-        if len(labs) != feats.shape[0]:
-            raise DimensionError(
-                f"{feats.shape[0]} feature rows but {len(labs)} labels"
-            )
-        instances = tuple(
-            LabeledInstance(feats[i], ClassLabel(int(labs[i])), i)
-            for i in range(feats.shape[0])
-        )
-        return cls(chunk_id, instances, feats.shape[1])
+    @property
+    def dimensionality(self) -> int:
+        return self.features.shape[1]
 
 
 @dataclass(frozen=True)
@@ -132,10 +102,9 @@ class PredictionRecord:
 
 @dataclass(frozen=True)
 class ChunkViolation:
-    """One structural defect found in a chunk. ``index`` is the offending
-    instance position, or None for chunk-level problems."""
+    """One defect found in a chunk: the offending instance position and why."""
 
-    index: int | None
+    index: int
     reason: str
 
 
@@ -149,43 +118,22 @@ class ValidationResult:
 
 
 def validate_chunk(chunk: Chunk) -> ValidationResult:
-    """Check every chunk invariant and report violations as data.
-
-    Checks, per instance: feature vector length equals the chunk
-    dimensionality, all features are finite (NaN reported distinctly), and
-    the stored index matches the instance's position.
-    """
-    violations: list[ChunkViolation] = []
-    for pos, inst in enumerate(chunk.instances):
-        if inst.features.ndim != 1 or len(inst.features) != chunk.dimensionality:
-            violations.append(
-                ChunkViolation(
-                    pos,
-                    f"feature vector has length {inst.features.size}, "
-                    f"chunk dimensionality is {chunk.dimensionality}",
-                )
-            )
-            continue
-        if not np.all(np.isfinite(inst.features)):
-            bad = np.flatnonzero(~np.isfinite(inst.features))[0]
-            kind = "NaN" if np.isnan(inst.features[bad]) else "non-finite"
-            violations.append(
-                ChunkViolation(pos, f"{kind} feature at column {int(bad)}")
-            )
-        if inst.index != pos:
-            violations.append(
-                ChunkViolation(
-                    pos, f"instance index {inst.index} does not match position {pos}"
-                )
-            )
+    """Report every instance with a non-finite feature, naming its first
+    non-finite column (NaN reported distinctly), as data."""
+    finite = np.isfinite(chunk.features)
+    violations = []
+    for pos in np.flatnonzero(~finite.all(axis=1)).tolist():
+        col = int(np.argmin(finite[pos]))
+        kind = "NaN" if np.isnan(chunk.features[pos, col]) else "non-finite"
+        violations.append(ChunkViolation(pos, f"{kind} feature at column {col}"))
     return ValidationResult(tuple(violations))
 
 
 def slice_features(chunk: Chunk, k: int) -> Chunk:
     """Keep the first ``k`` feature columns of every instance.
 
-    Labels, order, and indices are untouched. Slicing to k2 <= k1 after
-    slicing to k1 equals slicing to k2 directly.
+    Labels and order are untouched. Slicing to k2 <= k1 after slicing to k1
+    equals slicing to k2 directly.
     """
     if not 1 <= k <= chunk.dimensionality:
         raise DimensionError(
@@ -193,11 +141,7 @@ def slice_features(chunk: Chunk, k: int) -> Chunk:
         )
     if k == chunk.dimensionality:
         return chunk
-    instances = tuple(
-        LabeledInstance(inst.features[:k], inst.label, inst.index)
-        for inst in chunk.instances
-    )
-    return Chunk(chunk.id, instances, k)
+    return Chunk(chunk.id, chunk.features[:, :k], chunk.labels)
 
 
 def standardize_chunk(chunk: Chunk) -> Chunk:
@@ -207,15 +151,10 @@ def standardize_chunk(chunk: Chunk) -> Chunk:
     against its own distribution. Zero-variance columns are centered but not
     scaled. Distance-based learners downstream assume this step has run.
     """
-    if not chunk.instances:
+    if len(chunk) == 0:
         return chunk
-    x = chunk.feature_matrix()
+    x = chunk.features
     mean = x.mean(axis=0)
     std = x.std(axis=0)
     std = np.where(std == 0.0, 1.0, std)
-    z = (x - mean) / std
-    instances = tuple(
-        LabeledInstance(z[i], inst.label, inst.index)
-        for i, inst in enumerate(chunk.instances)
-    )
-    return Chunk(chunk.id, instances, chunk.dimensionality)
+    return Chunk(chunk.id, (x - mean) / std, chunk.labels)

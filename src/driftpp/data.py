@@ -135,12 +135,12 @@ def read_chunk_csv(path, has_header: bool = True) -> Chunk:
             labels.append(int(label_value))
     if width is None:
         raise ChunkFormatError(f"{path}: empty file with no header to infer dimensionality")
-    chunk = Chunk.from_arrays(path.stem, np.array(features, dtype=np.float64).reshape(len(features), width - 1), np.array(labels, dtype=np.int64))
+    chunk = Chunk(path.stem, np.array(features, dtype=np.float64).reshape(len(features), width - 1), labels)
     result = validate_chunk(chunk)
     if not result.ok:
         first = result.violations[0]
         raise ChunkFormatError(
-            f"{path}: row {(first.index or 0) + (2 if has_header else 1)}: {first.reason}"
+            f"{path}: row {first.index + (2 if has_header else 1)}: {first.reason}"
         )
     return chunk
 
@@ -153,8 +153,8 @@ def write_chunk_csv(chunk: Chunk, path, header: bool = True) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         if header:
             writer.writerow([f"f{i}" for i in range(chunk.dimensionality)] + ["label"])
-        for inst in chunk.instances:
-            writer.writerow([repr(float(v)) for v in inst.features] + [int(inst.label)])
+        for row, label in zip(chunk.features.tolist(), chunk.labels.tolist()):
+            writer.writerow([repr(v) for v in row] + [label])
 
 
 def _boundary_angle(drift: DriftSpec, chunk_index: int) -> float:
@@ -204,5 +204,5 @@ def generate_stream(spec: StreamSpec) -> list[Chunk]:
         if spec.noise > 0.0:
             flips = rng.random(spec.chunk_size) < spec.noise
             labels = labels ^ flips
-        chunks.append(Chunk.from_arrays(f"chunk_{i:03d}", points, labels))
+        chunks.append(Chunk(f"chunk_{i:03d}", points, labels))
     return chunks

@@ -11,11 +11,10 @@ would be no smaller than the model, scan every stored point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .core import ClassLabel, LabeledInstance
+from .core import ClassLabel
 from .errors import DimensionError, EmptyTrainingSet
 
 __all__ = ["KnnConfig", "KnnModel", "minkowski_distance", "knn_fit", "knn_predict", "knn_predict_batch"]
@@ -151,15 +150,17 @@ def _euclidean_shortlist(points: np.ndarray, block: np.ndarray, k: int) -> np.nd
     return candidates[_first_k(dist, k)].reshape(-1, k)
 
 
-def knn_fit(config: KnnConfig, data: Sequence[LabeledInstance]) -> KnnModel:
-    """Store the training pairs verbatim. Duplicates are kept."""
-    if len(data) == 0:
+def knn_fit(config: KnnConfig, features, labels) -> KnnModel:
+    """Store read-only copies of an (n, d) feature array and its (n,)
+    labels. Duplicate rows are kept."""
+    features = np.array(features, dtype=np.float64)
+    labels = np.array(labels, dtype=np.int64)
+    if len(features) == 0:
         raise EmptyTrainingSet("cannot fit a nearest-neighbor model on zero instances")
-    dims = {len(inst.features) for inst in data}
-    if len(dims) != 1:
-        raise DimensionError(f"mixed feature dimensionalities in training data: {sorted(dims)}")
-    features = np.stack([inst.features for inst in data])
-    labels = np.array([int(inst.label) for inst in data], dtype=np.int64)
+    if features.ndim != 2 or labels.shape != features.shape[:1]:
+        raise DimensionError(
+            f"expected (n, d) features and (n,) labels, got {features.shape} and {labels.shape}"
+        )
     features.flags.writeable = False
     labels.flags.writeable = False
     return KnnModel(config, features, labels)

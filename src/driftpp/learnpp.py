@@ -14,10 +14,11 @@ the normalized composite error, which concentrates the next subset on the
 instances the ensemble still gets wrong. A composite that classifies the
 whole window correctly ends the round early.
 
-The model itself learns online: each (instance, was_correct) pair enters a
-buffer, and a full buffer becomes the next training window. Instances that
-the ensemble misclassified at arrival enter the window with doubled initial
-weight. Old window groups can be pruned wholesale to bound memory.
+Windows are (features, labels) array pairs. The model itself learns
+online: each (row, label, was_correct) triple enters a buffer, and a full
+buffer becomes the next training window. Instances that the ensemble
+misclassified at arrival enter the window with doubled initial weight. Old
+window groups can be pruned wholesale to bound memory.
 
 Predictions are read-only and may run concurrently; training calls must be
 serialized by the caller (single writer).
@@ -31,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ClassLabel, LabeledInstance
+from .core import ClassLabel
 from .errors import (
     DimensionError,
     EmptyEnsemble,
@@ -171,19 +172,26 @@ def sample_training_subset(dist: WeightDistribution, rng: np.random.Generator) -
     return rng.choice(n, size=size, replace=True, p=dist.weights)
 
 
-def _window_arrays(window: Sequence[LabeledInstance]) -> tuple[np.ndarray, np.ndarray]:
-    features = np.stack([inst.features for inst in window])
-    labels = np.array([int(inst.label) for inst in window], dtype=np.int64)
-    return features, labels
+def _window_size(features, labels, dist: WeightDistribution) -> int:
+    """Instance count of a (features, labels) window weighted by ``dist``."""
+    if not len(features) == len(labels) == len(dist):
+        raise DimensionError(
+            f"window has {len(features)} rows and {len(labels)} labels "
+            f"but distribution has {len(dist)} weights"
+        )
+    return len(labels)
 
 
-def hypothesis_error(model: KnnModel, window: Sequence[LabeledInstance], dist: WeightDistribution) -> float:
-    """Total weight of the window instances the model misclassifies."""
-    if len(window) != len(dist):
-        raise DimensionError(f"window has {len(window)} instances but distribution has {len(dist)}")
-    features, labels = _window_arrays(window)
-    predicted, _ = knn_predict_batch(model, features)
+def _weighted_error(dist: WeightDistribution, predicted: np.ndarray, labels) -> float:
+    """Total weight of the instances whose prediction misses the label."""
     return float(dist.weights[predicted != labels].sum())
+
+
+def hypothesis_error(model: KnnModel, features, labels, dist: WeightDistribution) -> float:
+    """Total weight of the window instances the model misclassifies."""
+    _window_size(features, labels, dist)
+    predicted, _ = knn_predict_batch(model, features)
+    return _weighted_error(dist, predicted, labels)
 
 
 def normalize_error(e: float) -> float:
@@ -240,18 +248,14 @@ def composite_vote(hypotheses: Sequence[WeakHypothesis], x) -> tuple[ClassLabel,
 
 
 def composite_error(
-    hypotheses: Sequence[WeakHypothesis],
-    window: Sequence[LabeledInstance],
-    dist: WeightDistribution,
+    hypotheses: Sequence[WeakHypothesis], features, labels, dist: WeightDistribution
 ) -> float:
     """Total weight of the window instances the composite vote misclassifies."""
     if not hypotheses:
         raise EmptyEnsemble("no hypotheses to vote with")
-    if len(window) != len(dist):
-        raise DimensionError(f"window has {len(window)} instances but distribution has {len(dist)}")
-    features, labels = _window_arrays(window)
+    _window_size(features, labels, dist)
     composite, _ = _composite(hypotheses, features)
-    return float(dist.weights[composite != labels].sum())
+    return _weighted_error(dist, composite, labels)
 
 
 # the composite error E is normalized by the same map as a weak learner's
@@ -272,15 +276,17 @@ def update_weights(dist: WeightDistribution, correct_mask, decay: float) -> Weig
 
 
 def run_round(
-    window: Sequence[LabeledInstance],
+    features,
+    labels,
     d0: WeightDistribution,
     config: LearnPPConfig,
     rng: np.random.Generator,
     prior: Sequence[WeakHypothesis] = (),
     window_ordinal: int = 0,
 ) -> tuple[list[WeakHypothesis], WeightDistribution]:
-    """Run one training round over a window and return the accepted
-    hypotheses plus the final weight distribution.
+    """Run one training round over a window of (n, d) features and (n,)
+    labels and return the accepted hypotheses plus the final weight
+    distribution.
 
     The caller should hand in a window containing both classes; prior
     retained hypotheses participate in every composite evaluation. Each
@@ -294,13 +300,12 @@ def run_round(
 
     Raises RoundFailed after ``max_retries`` consecutive rejected candidates.
     """
-    if len(window) == 0:
+    features = np.asarray(features, dtype=np.float64)
+    labels = np.asarray(labels)
+    if len(labels) == 0:
         raise EmptyWindow("cannot run a training round on an empty window")
-    if len(d0) != len(window):
-        raise DimensionError(f"window has {len(window)} instances but distribution has {len(d0)}")
-    features, labels = _window_arrays(window)
-    n = len(window)
-    weights = np.array(d0.weights)
+    n = _window_size(features, labels, d0)
+    dist = d0
 
     prior_rows = [knn_predict_batch(hyp.model, features)[0] for hyp in prior]
     prior_votes = [hyp.vote_weight for hyp in prior]
@@ -309,13 +314,12 @@ def run_round(
     consecutive_failures = 0
 
     while len(accepted) < config.n_estimators:
-        dist = WeightDistribution(weights)
         # fit on the distinct instances drawn: a k-NN given two copies of a
         # heavy instance would echo its label everywhere around it
         subset_idx = np.unique(sample_training_subset(dist, rng))
-        candidate = knn_fit(config.knn, [window[i] for i in subset_idx])
+        candidate = knn_fit(config.knn, features[subset_idx], labels[subset_idx])
         predictions, _ = knn_predict_batch(candidate, features)
-        error = float(weights[predictions != labels].sum())
+        error = _weighted_error(dist, predictions, labels)
 
         if error >= config.error_threshold:
             consecutive_failures += 1
@@ -341,18 +345,15 @@ def run_round(
             prior_votes + [hyp.vote_weight for hyp in accepted],
             n,
         )
-        correct = composite == labels
-        comp_error = float(weights[~correct].sum())
+        comp_error = _weighted_error(dist, composite, labels)
         if comp_error == 0.0:
             # the ensemble already masters this window; keep weights as-is
             break
         if comp_error < 0.5:
-            decay = normalize_composite_error(comp_error)
-            weights = np.where(correct, weights * decay, weights)
-            weights /= weights.sum()
+            dist = update_weights(dist, composite == labels, normalize_composite_error(comp_error))
         # comp_error >= 0.5: keep the hypothesis but skip the weight update
 
-    return accepted, WeightDistribution(weights)
+    return accepted, dist
 
 
 class LearnPPModel:
@@ -367,7 +368,8 @@ class LearnPPModel:
         self.hypotheses: list[WeakHypothesis] = []
         self.windows_completed = 0
         self._rng = np.random.default_rng(config.seed)
-        self._buffer: list[tuple[LabeledInstance, bool]] = []
+        # (feature row, label, misclassified at arrival), in arrival order
+        self._buffer: list[tuple[np.ndarray, int, bool]] = []
 
     @property
     def buffer_size(self) -> int:
@@ -385,23 +387,18 @@ class LearnPPModel:
             return composite_vote(self.hypotheses, x)
         return _composite(self.hypotheses, x)
 
-    def fit_initial(self, window: Sequence[LabeledInstance]) -> None:
-        """Train one full round on ``window`` under uniform weights.
+    def fit_initial(self, features, labels) -> None:
+        """Train one full round on a window of (n, d) features and (n,)
+        labels under uniform weights.
 
         Used to bootstrap the ensemble before online updates begin. The
         pending buffer is untouched.
         """
-        d0 = init_weights(len(window))
-        new_hypotheses, _ = run_round(
-            window, d0, self.config, self._rng,
-            prior=self.hypotheses, window_ordinal=self.windows_completed,
-        )
-        self.hypotheses.extend(new_hypotheses)
-        self.windows_completed += 1
-        self._prune()
+        self._train(features, labels, init_weights(len(labels)))
 
-    def partial_fit(self, instance: LabeledInstance, was_correct: bool) -> "LearnPPModel":
-        """Buffer one observed instance together with its online outcome.
+    def partial_fit(self, x, label: int, was_correct: bool) -> "LearnPPModel":
+        """Buffer one observed (d,) feature row and its label together with
+        its online outcome.
 
         When the buffer reaches the configured window size, it becomes a
         training window: instances misclassified at arrival get double
@@ -409,12 +406,18 @@ class LearnPPModel:
         ensemble, and the buffer clears. With ``window_size=None`` the
         buffer only converts when the caller invokes :meth:`flush_window`.
 
-        If the round fails, the buffer is retained so the caller can retry,
-        flush later, or resize.
+        If the round fails, the buffer keeps its newest ``window_size``
+        instances, so the next instance retries the round and a run of
+        failures cannot grow memory.
         """
-        self._buffer.append((instance, not was_correct))
-        if self.config.window_size is not None and len(self._buffer) >= self.config.window_size:
-            self.flush_window()
+        self._buffer.append((np.array(x, dtype=np.float64), int(label), not was_correct))
+        window_size = self.config.window_size
+        if window_size is not None and len(self._buffer) >= window_size:
+            try:
+                self.flush_window()
+            except RoundFailed:
+                del self._buffer[:-window_size]
+                raise
         return self
 
     def flush_window(self) -> None:
@@ -422,27 +425,33 @@ class LearnPPModel:
 
         A buffer holding a single class cannot support a meaningful round;
         its instances are dropped with a warning. No-op on an empty buffer.
+        If the round fails, the buffer is retained so the caller can retry,
+        flush later, or resize.
         """
         if not self._buffer:
             return
-        window = [inst for inst, _ in self._buffer]
-        present = {int(inst.label) for inst in window}
+        rows, labels, missed = zip(*self._buffer)
+        labels = np.array(labels, dtype=np.int64)
+        present = np.unique(labels)
         if len(present) < 2:
             logger.warning(
                 "window %d holds only class %d; dropping %d buffered instances",
-                self.windows_completed, present.pop(), len(window),
+                self.windows_completed, present[0], len(labels),
             )
             self._buffer.clear()
             self.windows_completed += 1
             return
-        raw = np.array([2.0 if misclassified else 1.0 for _, misclassified in self._buffer])
-        d0 = WeightDistribution.normalized(raw)
+        d0 = WeightDistribution.normalized(np.where(missed, 2.0, 1.0))
+        self._train(np.stack(rows), labels, d0)
+        self._buffer.clear()
+
+    def _train(self, features, labels, d0: WeightDistribution) -> None:
+        """Run one round on a window and add its hypotheses to the ensemble."""
         new_hypotheses, _ = run_round(
-            window, d0, self.config, self._rng,
+            features, labels, d0, self.config, self._rng,
             prior=self.hypotheses, window_ordinal=self.windows_completed,
         )
         self.hypotheses.extend(new_hypotheses)
-        self._buffer.clear()
         self.windows_completed += 1
         self._prune()
 

@@ -74,16 +74,14 @@ def auc(records: Sequence[PredictionRecord]) -> float:
             f"need both classes, got {n_pos} positives and {n_neg} negatives"
         )
     order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(truth.size, dtype=np.float64)
     sorted_scores = scores[order]
-    i = 0
-    while i < truth.size:
-        j = i
-        while j + 1 < truth.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        # midrank of the tie group, 1-based
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    # tie group g spans sorted positions i[g]..j[g]
+    ends = np.flatnonzero(sorted_scores[1:] != sorted_scores[:-1])
+    i = np.append(0, ends + 1)
+    j = np.append(ends, truth.size - 1)
+    ranks = np.empty(truth.size, dtype=np.float64)
+    # midrank of the tie group, 1-based
+    ranks[order] = np.repeat((i + j) / 2.0 + 1.0, j - i + 1)
     rank_sum = ranks[truth == 1].sum()
     u_statistic = rank_sum - n_pos * (n_pos + 1) / 2.0
     return float(u_statistic / (n_pos * n_neg))

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Chunk, LabeledInstance
+from .core import Chunk
 from .errors import DegenerateData, DimensionError
 
 __all__ = ["PcaModel", "pca_fit", "pca_transform", "pca_inverse_transform", "tevr", "write_tevr_csv"]
@@ -37,7 +37,7 @@ def pca_fit(chunk: Chunk, n_components: int) -> PcaModel:
     zero from rounding are clipped. Sign convention: each component's
     largest-magnitude entry is positive, which makes the fit deterministic.
     """
-    x = chunk.feature_matrix()
+    x = chunk.features
     n, d = x.shape
     if n < 2:
         raise DegenerateData(f"need at least 2 instances to fit, got {n}")
@@ -67,8 +67,8 @@ def pca_fit(chunk: Chunk, n_components: int) -> PcaModel:
 
 
 def pca_transform(model: PcaModel, chunk: Chunk, k: int) -> Chunk:
-    """Project a chunk onto the first k components. Labels, order, and
-    instance indices are preserved."""
+    """Project a chunk onto the first k components. Labels and order are
+    preserved."""
     if not 1 <= k <= model.components.shape[0]:
         raise DimensionError(
             f"k must lie in [1, {model.components.shape[0]}], got {k}"
@@ -77,12 +77,8 @@ def pca_transform(model: PcaModel, chunk: Chunk, k: int) -> Chunk:
         raise DimensionError(
             f"chunk dimensionality {chunk.dimensionality} does not match fitted {model.mean.size}"
         )
-    scores = (chunk.feature_matrix() - model.mean) @ model.components[:k].T
-    instances = tuple(
-        LabeledInstance(scores[i], inst.label, inst.index)
-        for i, inst in enumerate(chunk.instances)
-    )
-    return Chunk(chunk.id, instances, k)
+    scores = (chunk.features - model.mean) @ model.components[:k].T
+    return Chunk(chunk.id, scores, chunk.labels)
 
 
 def pca_inverse_transform(model: PcaModel, scores: np.ndarray) -> np.ndarray:

@@ -4,24 +4,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from driftpp.core import Chunk, ClassLabel, LabeledInstance, PredictionRecord
+from driftpp.core import ClassLabel, PredictionRecord
 
 
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(1234)
-
-
-def make_instances(features, labels) -> list[LabeledInstance]:
-    """Build instances from parallel feature rows and labels."""
-    return [
-        LabeledInstance(np.asarray(row, dtype=np.float64), ClassLabel(int(lab)), i)
-        for i, (row, lab) in enumerate(zip(features, labels))
-    ]
-
-
-def make_chunk(chunk_id, features, labels) -> Chunk:
-    return Chunk.from_arrays(chunk_id, np.asarray(features, dtype=np.float64), labels)
 
 
 def make_records(truths, predictions, scores, chunk_id="c") -> list[PredictionRecord]:
@@ -31,9 +19,10 @@ def make_records(truths, predictions, scores, chunk_id="c") -> list[PredictionRe
     ]
 
 
-def two_cluster_window(n, d, rng, gap=6.0, spread=0.5) -> list[LabeledInstance]:
-    """Linearly separable window: class 0 near the origin, class 1 offset by
-    ``gap`` along every axis. Half of each class, label order interleaved."""
+def two_cluster_window(n, d, rng, gap=6.0, spread=0.5) -> tuple[np.ndarray, np.ndarray]:
+    """Linearly separable (features, labels) window: class 0 near the
+    origin, class 1 offset by ``gap`` along every axis. Half of each class,
+    label order interleaved."""
     rows = []
     labels = []
     for i in range(n):
@@ -41,4 +30,4 @@ def two_cluster_window(n, d, rng, gap=6.0, spread=0.5) -> list[LabeledInstance]:
         center = np.full(d, gap if label else 0.0)
         rows.append(center + rng.normal(0.0, spread, d))
         labels.append(label)
-    return make_instances(rows, labels)
+    return np.array(rows), np.array(labels)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from driftpp.adaptive import RunConfig, pretrain, process_chunk, reduce_chunk, run_experiment
-from driftpp.core import Chunk, ClassLabel, LabeledInstance
+from driftpp.core import Chunk
 from driftpp.data import DriftSpec, StreamSpec, generate_stream
 from driftpp.knn import KnnConfig, knn_fit, knn_predict
 from driftpp.learnpp import (
@@ -33,7 +33,7 @@ from driftpp.learnpp import (
 from driftpp.metrics import auc
 from driftpp.pca import pca_fit, tevr
 
-from conftest import make_chunk, make_instances, make_records, two_cluster_window
+from conftest import make_records, two_cluster_window
 
 
 def emit(capsys, ok, label, detail):
@@ -45,13 +45,14 @@ def emit(capsys, ok, label, detail):
 def random_window(gen, n, d):
     features = gen.normal(size=(n, d))
     labels = gen.integers(0, 2, n)
-    return make_instances(features, labels)
+    return features, labels
 
 
 def fit_on_subset(gen, window, k):
-    size = int(gen.integers(1, len(window) + 1))
-    picks = gen.integers(0, len(window), size)
-    return knn_fit(KnnConfig(k=k), [window[i] for i in picks])
+    features, labels = window
+    size = int(gen.integers(1, len(labels) + 1))
+    picks = gen.integers(0, len(labels), size)
+    return knn_fit(KnnConfig(k=k), features[picks], labels[picks])
 
 
 def test_equation_conformance(capsys):
@@ -68,11 +69,11 @@ def test_equation_conformance(capsys):
         dist = WeightDistribution.normalized(gen.uniform(0.05, 1.0, n))
         model = fit_on_subset(gen, window, k=int(gen.choice([1, 3])))
 
-        got = hypothesis_error(model, window, dist)
+        got = hypothesis_error(model, *window, dist)
         want = 0.0
-        for i, inst in enumerate(window):
-            label, _ = knn_predict(model, inst.features)
-            if label != inst.label:
+        for i, (x, y) in enumerate(zip(*window)):
+            label, _ = knn_predict(model, x)
+            if label != y:
                 want += float(dist.weights[i])
         worst = max(worst, abs(got - want))
 
@@ -83,11 +84,11 @@ def test_equation_conformance(capsys):
             WeakHypothesis(fit_on_subset(gen, window, 1), float(gen.uniform(0.05, 0.95)), 0)
             for _ in range(int(gen.integers(1, 3)))
         ]
-        got_comp = composite_error(ensemble, window, dist)
+        got_comp = composite_error(ensemble, *window, dist)
         want_comp = 0.0
-        for i, inst in enumerate(window):
-            label, _ = composite_vote(ensemble, inst.features)
-            if label != inst.label:
+        for i, (x, y) in enumerate(zip(*window)):
+            label, _ = composite_vote(ensemble, x)
+            if label != y:
                 want_comp += float(dist.weights[i])
         worst = max(worst, abs(got_comp - want_comp))
 
@@ -158,9 +159,8 @@ def test_knn_oracle(capsys):
         else:
             features = gen.normal(size=(n, d))
         labels = gen.integers(0, 2, n)
-        window = make_instances(features, labels)
         k = int(gen.choice([1, 3, 5, 7]))
-        model = knn_fit(KnnConfig(k=k), window)
+        model = knn_fit(KnnConfig(k=k), features, labels)
 
         queries = list(gen.normal(size=(15, d)))
         if trial % 2 == 0:
@@ -221,7 +221,7 @@ def test_pca_oracle(capsys):
     shapes = [(50, 8), (80, 12), (120, 16), (160, 24), (200, 40)]
     for n, d in shapes:
         rows = gen.normal(size=(n, d)) @ gen.normal(size=(d, d))
-        chunk = make_chunk(f"m{n}x{d}", rows, np.zeros(n, int))
+        chunk = Chunk(f"m{n}x{d}", rows, np.zeros(n, int))
         basis = pca_fit(chunk, d)
 
         centered = rows - rows.mean(axis=0)
@@ -255,10 +255,10 @@ def test_training_invariants(capsys):
         spec = StreamSpec(n_chunks=3, chunk_size=80, dimensionality=5, noise=0.1, seed=seed)
         for chunk in generate_stream(spec):
             reduced = reduce_chunk(chunk, 3)
-            window = list(reduced.instances)
             config = LearnPPConfig(seed=seed)
             hyps, final = run_round(
-                window, init_weights(len(window)), config, np.random.default_rng(seed)
+                reduced.features, reduced.labels, init_weights(len(reduced)), config,
+                np.random.default_rng(seed),
             )
             rounds += 1
             sum_drift = max(sum_drift, abs(float(final.weights.sum()) - 1.0))
@@ -269,7 +269,7 @@ def test_training_invariants(capsys):
     gen = np.random.default_rng(606)
     clean = two_cluster_window(40, 3, gen, gap=8.0, spread=0.4)
     config = LearnPPConfig(n_estimators=3, knn=KnnConfig(k=1), seed=0)
-    early_hyps, _ = run_round(clean, init_weights(40), config, np.random.default_rng(0))
+    early_hyps, _ = run_round(*clean, init_weights(40), config, np.random.default_rng(0))
     early_stopped = len(early_hyps) == 1
 
     spec = StreamSpec(n_chunks=4, chunk_size=150, dimensionality=6, noise=0.05, seed=2)
@@ -344,16 +344,18 @@ def test_finite_memory_contract(capsys):
         seed=0,
     )
     model = LearnPPModel(config)
-    model.fit_initial(reduce_chunk(chunks[0], 3).instances)
+    initial = reduce_chunk(chunks[0], 3)
+    model.fit_initial(initial.features, initial.labels)
 
     hyp_cap = 4 * config.n_estimators
     max_hyps = len(model.hypotheses)
     max_buffer = 0
     violations = 0
     for chunk in chunks[1:]:
-        for inst in reduce_chunk(chunk, 3).instances:
-            predicted, _ = model.predict(inst.features)
-            model.partial_fit(inst, was_correct=(predicted == inst.label))
+        reduced = reduce_chunk(chunk, 3)
+        for x, label in zip(reduced.features, reduced.labels):
+            predicted, _ = model.predict(x)
+            model.partial_fit(x, label, was_correct=(predicted == label))
             max_hyps = max(max_hyps, len(model.hypotheses))
             max_buffer = max(max_buffer, model.buffer_size)
             if len(model.hypotheses) > hyp_cap or model.buffer_size > config.window_size:
@@ -380,10 +382,10 @@ def test_test_then_train_integrity(capsys):
         if flip:
             labels = labels.copy()
             labels[sentinel] = 1 - labels[sentinel]
-        return make_chunk("watched", rows, labels)
+        return Chunk("watched", rows, labels)
 
     config = RunConfig(learnpp=LearnPPConfig(seed=0, window_size=25), pc_count=2)
-    initial = make_chunk(
+    initial = Chunk(
         "initial",
         np.random.default_rng(5).normal(size=(200, 4))
         + np.repeat(np.arange(200) % 2, 4).reshape(200, 4) * 6.0,

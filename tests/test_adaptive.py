@@ -16,8 +16,6 @@ from driftpp.core import Chunk, PredictionRecord
 from driftpp.errors import DimensionError, EmptyEnsemble, PretrainFailed, RoundFailed
 from driftpp.learnpp import LearnPPConfig, LearnPPModel
 
-from conftest import make_chunk
-
 
 def cluster_chunk(chunk_id, n, seed, d=4, gap=6.0, flip=False):
     """Two well-separated gaussian clusters along the first axis."""
@@ -28,7 +26,7 @@ def cluster_chunk(chunk_id, n, seed, d=4, gap=6.0, flip=False):
     rows[:, 0] += labels * gap
     if flip:
         labels = 1 - labels
-    return make_chunk(chunk_id, rows, labels)
+    return Chunk(chunk_id, rows, labels)
 
 
 def small_config(**kwargs):
@@ -51,21 +49,21 @@ def report_stub(chunk_id="r", f1_value=0.9, evaluated=10):
 
 class TestReduceChunk:
     def test_projects_then_standardizes(self, rng):
-        chunk = make_chunk("x", rng.normal(size=(100, 6)), rng.integers(0, 2, 100))
+        chunk = Chunk("x", rng.normal(size=(100, 6)), rng.integers(0, 2, 100))
         reduced = reduce_chunk(chunk, 3)
-        matrix = reduced.feature_matrix()
+        matrix = reduced.features
         assert matrix.shape == (100, 3)
         np.testing.assert_allclose(matrix.mean(axis=0), 0.0, atol=1e-9)
         np.testing.assert_allclose(matrix.std(axis=0), 1.0, atol=1e-9)
 
     def test_width_match_skips_projection_but_standardizes(self, rng):
         rows = rng.normal(size=(50, 3)) + 10.0
-        chunk = make_chunk("x", rows, rng.integers(0, 2, 50))
+        chunk = Chunk("x", rows, rng.integers(0, 2, 50))
         reduced = reduce_chunk(chunk, 3)
-        np.testing.assert_allclose(reduced.feature_matrix().mean(axis=0), 0.0, atol=1e-9)
+        np.testing.assert_allclose(reduced.features.mean(axis=0), 0.0, atol=1e-9)
 
     def test_too_narrow_raises(self, rng):
-        chunk = make_chunk("x", rng.normal(size=(20, 2)), rng.integers(0, 2, 20))
+        chunk = Chunk("x", rng.normal(size=(20, 2)), rng.integers(0, 2, 20))
         with pytest.raises(DimensionError):
             reduce_chunk(chunk, 3)
 
@@ -100,12 +98,12 @@ class TestPretrain:
         assert len(model.hypotheses) >= 1
 
     def test_single_class_chunk_rejected(self, rng):
-        chunk = make_chunk("bad", rng.normal(size=(50, 4)), np.ones(50, int))
+        chunk = Chunk("bad", rng.normal(size=(50, 4)), np.ones(50, int))
         with pytest.raises(PretrainFailed):
             pretrain(chunk, small_config())
 
     def test_empty_chunk_rejected(self):
-        chunk = Chunk("empty", (), 4)
+        chunk = Chunk("empty", np.zeros((0, 4)), [])
         with pytest.raises(PretrainFailed):
             pretrain(chunk, small_config())
 
@@ -154,7 +152,7 @@ class TestProcessChunk:
     def test_empty_chunk_reports_nothing(self):
         config = small_config()
         model, first, _ = pretrain(cluster_chunk("initial", 200, seed=1), config)
-        report, records = process_chunk(model, Chunk("hollow", (), 4), config, [first])
+        report, records = process_chunk(model, Chunk("hollow", np.zeros((0, 4)), []), config, [first])
         assert records == []
         assert report.evaluated_count == 0
         assert math.isnan(report.auc)
@@ -183,10 +181,10 @@ class TestProcessChunk:
         model_a, first_a, _ = pretrain(cluster_chunk("initial", 300, seed=1), config)
         _, records_a = process_chunk(model_a, base, config, [first_a])
 
-        flipped_rows = base.feature_matrix()
-        flipped_labels = base.labels()
+        flipped_rows = base.features
+        flipped_labels = base.labels.copy()
         flipped_labels[37] = 1 - flipped_labels[37]
-        tampered = make_chunk("next", flipped_rows, flipped_labels)
+        tampered = Chunk("next", flipped_rows, flipped_labels)
         model_b, first_b, _ = pretrain(cluster_chunk("initial", 300, seed=1), config)
         _, records_b = process_chunk(model_b, tampered, config, [first_b])
 
@@ -199,11 +197,11 @@ def per_instance_records(model, chunk, config):
     partial_fit, one instance at a time."""
     reduced = reduce_chunk(chunk, config.pc_count)
     records = []
-    for inst in reduced.instances:
-        predicted, score = model.predict(inst.features)
-        records.append(PredictionRecord(chunk.id, inst.index, inst.label, predicted, score))
+    for i, (x, label) in enumerate(zip(reduced.features, reduced.labels)):
+        predicted, score = model.predict(x)
+        records.append(PredictionRecord(chunk.id, i, label, predicted, score))
         try:
-            model.partial_fit(inst, was_correct=(predicted == inst.label))
+            model.partial_fit(x, label, was_correct=(predicted == label))
         except RoundFailed:
             return records
     if model.config.window_size is None:
@@ -217,9 +215,9 @@ def per_instance_records(model, chunk, config):
 def scrambled_head_chunk(chunk_id, n, seed, head):
     """A cluster chunk whose first ``head`` labels are random."""
     chunk = cluster_chunk(chunk_id, n, seed)
-    labels = chunk.labels()
+    labels = chunk.labels.copy()
     labels[:head] = np.random.default_rng(seed).integers(0, 2, head)
-    return make_chunk(chunk_id, chunk.feature_matrix(), labels)
+    return Chunk(chunk_id, chunk.features, labels)
 
 
 class TestSegmentBatching:
@@ -268,18 +266,34 @@ class TestSegmentBatching:
         buffers = self.assert_matches_per_instance(config, chunks)
         assert buffers[1] >= learnpp.window_size
 
+    def test_failed_rounds_keep_buffer_within_window(self):
+        # every round over the random-label chunk fails; the clean chunks
+        # after it must not inherit a buffer that grows by one per chunk
+        learnpp = LearnPPConfig(seed=0, window_size=20, error_threshold=0.3, max_retries=2)
+        config = RunConfig(learnpp=learnpp, pc_count=2)
+        model, first, _ = pretrain(cluster_chunk("initial", 200, seed=1), config)
+        chunks = [scrambled_head_chunk("a", 60, seed=7, head=60)] + [
+            cluster_chunk(chunk_id, 60, seed=seed) for chunk_id, seed in [("b", 8), ("c", 9), ("d", 10)]
+        ]
+        errors = []
+        for chunk in chunks:
+            report, _ = process_chunk(model, chunk, config, [first])
+            errors.append(report.error is not None)
+            assert model.buffer_size <= learnpp.window_size
+        assert errors[0]
+
 
 class TestChunkFailurePolicy:
     @staticmethod
     def bad_chunk(kind):
         chunk = cluster_chunk("bad", 50, seed=60)
-        rows, labels = chunk.feature_matrix(), chunk.labels()
+        rows, labels = chunk.features.copy(), chunk.labels
         if kind == "short":
-            return make_chunk("bad", rows[:2], labels[:2])  # fewer rows than pc_count
+            return Chunk("bad", rows[:2], labels[:2])  # fewer rows than pc_count
         if kind == "constant":
-            return make_chunk("bad", np.ones_like(rows), labels)
+            return Chunk("bad", np.ones_like(rows), labels)
         rows[7, 1] = np.nan
-        return make_chunk("bad", rows, labels)
+        return Chunk("bad", rows, labels)
 
     @pytest.mark.parametrize("kind", ["short", "constant", "nan"])
     def test_bad_chunk_reports_error_and_run_continues(self, kind):

@@ -5,32 +5,12 @@ from hypothesis import given, strategies as st
 from driftpp.core import (
     Chunk,
     ClassLabel,
-    LabeledInstance,
     PredictionRecord,
     slice_features,
     standardize_chunk,
     validate_chunk,
 )
 from driftpp.errors import DimensionError
-
-from conftest import make_chunk, make_instances
-
-
-class TestLabeledInstance:
-    def test_features_coerced_to_float64_and_locked(self):
-        inst = LabeledInstance([1, 2, 3], ClassLabel.POSITIVE, 0)
-        assert inst.features.dtype == np.float64
-        with pytest.raises(ValueError):
-            inst.features[0] = 9.0
-
-    def test_label_coerced_to_class_label(self):
-        inst = LabeledInstance([0.0], 1, 4)
-        assert inst.label is ClassLabel.POSITIVE
-        assert inst.index == 4
-
-    def test_label_outside_binary_rejected(self):
-        with pytest.raises(ValueError):
-            LabeledInstance([0.0], 2, 0)
 
 
 class TestPredictionRecord:
@@ -48,76 +28,99 @@ class TestPredictionRecord:
 
 class TestChunk:
     def test_feature_matrix_and_labels(self):
-        chunk = make_chunk("c", [[1.0, 2.0], [3.0, 4.0]], [0, 1])
-        np.testing.assert_array_equal(chunk.feature_matrix(), [[1.0, 2.0], [3.0, 4.0]])
-        np.testing.assert_array_equal(chunk.labels(), [0, 1])
+        chunk = Chunk("c", [[1.0, 2.0], [3.0, 4.0]], [0, 1])
+        np.testing.assert_array_equal(chunk.features, [[1.0, 2.0], [3.0, 4.0]])
+        np.testing.assert_array_equal(chunk.labels, [0, 1])
         assert chunk.dimensionality == 2
         assert len(chunk) == 2
 
-    def test_from_arrays_rejects_mismatched_lengths(self):
+    def test_arrays_coerced_and_read_only(self):
+        chunk = Chunk("c", [[1, 2, 3]], [True])
+        assert chunk.features.dtype == np.float64
+        assert chunk.labels.dtype == np.int64
+        assert chunk.features.flags.c_contiguous
+        with pytest.raises(ValueError):
+            chunk.features[0, 0] = 9.0
+        with pytest.raises(ValueError):
+            chunk.labels[0] = 0
+
+    def test_later_edits_to_source_arrays_do_not_leak_in(self):
+        rows = np.arange(6.0).reshape(3, 2)
+        labels = np.array([0, 1, 0])
+        chunk = Chunk("c", rows, labels)
+        rows[0, 0] = 99.0
+        labels[0] = 1
+        np.testing.assert_array_equal(chunk.features[0], [0.0, 1.0])
+        assert chunk.labels[0] == 0
+
+    def test_label_outside_binary_rejected(self):
+        with pytest.raises(ValueError):
+            Chunk("c", [[0.0]], [2])
+
+    def test_rejects_mismatched_lengths(self):
         with pytest.raises(DimensionError):
-            Chunk.from_arrays("c", np.zeros((3, 2)), [0, 1])
+            Chunk("c", np.zeros((3, 2)), [0, 1])
+
+    def test_rejects_features_that_are_not_2d(self):
+        for features in (np.zeros(3), np.zeros((3, 2, 2))):
+            with pytest.raises(DimensionError):
+                Chunk("c", features, [0, 1, 0])
 
     def test_empty_chunk_feature_matrix_shape(self):
-        chunk = Chunk("c", (), 4)
-        assert chunk.feature_matrix().shape == (0, 4)
+        chunk = Chunk("c", np.zeros((0, 4)), [])
+        assert chunk.features.shape == (0, 4)
+        assert chunk.dimensionality == 4
+        assert len(chunk) == 0
 
 
 class TestValidateChunk:
     def test_consistent_chunk_is_ok(self):
-        chunk = make_chunk("c", np.ones((3, 5)), [0, 1, 0])
+        chunk = Chunk("c", np.ones((3, 5)), [0, 1, 0])
         assert validate_chunk(chunk).ok
 
-    def test_length_mismatch_reported_at_instance(self):
-        instances = make_instances([[1.0, 2.0, 3.0, 4.0]], [0])
-        chunk = Chunk("c", tuple(instances), 5)
-        result = validate_chunk(chunk)
-        assert not result.ok
-        assert result.violations[0].index == 0
-        assert "length 4" in result.violations[0].reason
-
     def test_nan_cited_distinctly(self):
-        chunk = make_chunk("c", [[1.0, np.nan], [0.0, 0.0]], [0, 1])
+        chunk = Chunk("c", [[1.0, np.nan], [0.0, 0.0]], [0, 1])
         result = validate_chunk(chunk)
         assert any("NaN" in v.reason for v in result.violations)
 
     def test_infinity_reported_as_non_finite(self):
-        chunk = make_chunk("c", [[np.inf, 1.0]], [0])
+        chunk = Chunk("c", [[np.inf, 1.0]], [0])
         result = validate_chunk(chunk)
         assert any("non-finite" in v.reason for v in result.violations)
 
-    def test_index_position_mismatch_reported(self):
-        instances = (LabeledInstance([1.0], 0, 3),)
-        chunk = Chunk("c", instances, 1)
+    def test_one_violation_per_bad_row_at_its_first_bad_column(self):
+        chunk = Chunk("c", [[0.0, 0.0, 0.0], [1.0, -np.inf, np.nan], [np.nan, np.inf, 0.0]], [0, 1, 0])
         result = validate_chunk(chunk)
-        assert not result.ok
-        assert "does not match position" in result.violations[0].reason
+        assert [(v.index, v.reason) for v in result.violations] == [
+            (1, "non-finite feature at column 1"),
+            (2, "NaN feature at column 0"),
+        ]
 
 
 class TestSliceFeatures:
     def test_keeps_leading_columns(self):
         rng = np.random.default_rng(0)
-        chunk = make_chunk("c", rng.normal(size=(4, 100)), [0, 1, 0, 1])
+        chunk = Chunk("c", rng.normal(size=(4, 100)), [0, 1, 0, 1])
         sliced = slice_features(chunk, 75)
         assert sliced.dimensionality == 75
         np.testing.assert_array_equal(
-            sliced.feature_matrix(), chunk.feature_matrix()[:, :75]
+            sliced.features, chunk.features[:, :75]
         )
 
     def test_full_width_is_identity(self):
-        chunk = make_chunk("c", np.ones((2, 5)), [0, 1])
+        chunk = Chunk("c", np.ones((2, 5)), [0, 1])
         assert slice_features(chunk, 5) is chunk
 
     def test_too_wide_raises(self):
-        chunk = make_chunk("c", np.ones((2, 3)), [0, 1])
+        chunk = Chunk("c", np.ones((2, 3)), [0, 1])
         with pytest.raises(DimensionError):
             slice_features(chunk, 4)
 
     def test_labels_and_order_untouched(self):
-        chunk = make_chunk("c", np.arange(12.0).reshape(3, 4), [1, 0, 1])
+        chunk = Chunk("c", np.arange(12.0).reshape(3, 4), [1, 0, 1])
         sliced = slice_features(chunk, 2)
-        np.testing.assert_array_equal(sliced.labels(), chunk.labels())
-        assert [i.index for i in sliced.instances] == [0, 1, 2]
+        np.testing.assert_array_equal(sliced.labels, chunk.labels)
+        np.testing.assert_array_equal(sliced.features, chunk.features[:, :2])
 
     @given(
         k1=st.integers(min_value=1, max_value=8),
@@ -127,29 +130,29 @@ class TestSliceFeatures:
         if k2 > k1:
             k1, k2 = k2, k1
         rng = np.random.default_rng(7)
-        chunk = make_chunk("c", rng.normal(size=(5, 8)), [0, 1, 0, 1, 0])
+        chunk = Chunk("c", rng.normal(size=(5, 8)), [0, 1, 0, 1, 0])
         twice = slice_features(slice_features(chunk, k1), k2)
         once = slice_features(chunk, k2)
-        np.testing.assert_array_equal(twice.feature_matrix(), once.feature_matrix())
+        np.testing.assert_array_equal(twice.features, once.features)
 
 
 class TestStandardizeChunk:
     def test_zero_mean_unit_variance(self):
         rng = np.random.default_rng(3)
-        chunk = make_chunk("c", rng.normal(5.0, 3.0, size=(200, 4)), rng.integers(0, 2, 200))
-        z = standardize_chunk(chunk).feature_matrix()
+        chunk = Chunk("c", rng.normal(5.0, 3.0, size=(200, 4)), rng.integers(0, 2, 200))
+        z = standardize_chunk(chunk).features
         np.testing.assert_allclose(z.mean(axis=0), 0.0, atol=1e-12)
         np.testing.assert_allclose(z.std(axis=0), 1.0, atol=1e-12)
 
     def test_constant_column_centered_not_scaled(self):
-        chunk = make_chunk("c", [[7.0, 1.0], [7.0, 3.0]], [0, 1])
-        z = standardize_chunk(chunk).feature_matrix()
+        chunk = Chunk("c", [[7.0, 1.0], [7.0, 3.0]], [0, 1])
+        z = standardize_chunk(chunk).features
         np.testing.assert_array_equal(z[:, 0], [0.0, 0.0])
 
     def test_empty_chunk_passthrough(self):
-        chunk = Chunk("c", (), 2)
+        chunk = Chunk("c", np.zeros((0, 2)), [])
         assert standardize_chunk(chunk) is chunk
 
     def test_labels_preserved(self):
-        chunk = make_chunk("c", [[0.0, 1.0], [2.0, 5.0]], [1, 0])
-        np.testing.assert_array_equal(standardize_chunk(chunk).labels(), [1, 0])
+        chunk = Chunk("c", [[0.0, 1.0], [2.0, 5.0]], [1, 0])
+        np.testing.assert_array_equal(standardize_chunk(chunk).labels, [1, 0])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from driftpp.core import Chunk
 from driftpp.data import (
     DriftSpec,
     StreamSpec,
@@ -10,25 +11,23 @@ from driftpp.data import (
 )
 from driftpp.errors import ChunkFormatError, LabelError, RaggedRowError
 
-from conftest import make_chunk
-
 
 def centroid_oracle(train_chunk):
     """Independent linear reference classifier: split along the difference
     of class centroids, thresholded at their midpoint."""
-    matrix, labels = train_chunk.feature_matrix(), train_chunk.labels()
+    matrix, labels = train_chunk.features, train_chunk.labels
     pos, neg = matrix[labels == 1].mean(axis=0), matrix[labels == 0].mean(axis=0)
     direction, midpoint = pos - neg, (pos + neg) / 2.0
     return lambda rows: ((rows - midpoint) @ direction > 0).astype(int)
 
 
 def oracle_accuracy(oracle, chunk):
-    return float((oracle(chunk.feature_matrix()) == chunk.labels()).mean())
+    return float((oracle(chunk.features) == chunk.labels).mean())
 
 
 def oracle_f1(oracle, chunk):
-    predicted = oracle(chunk.feature_matrix())
-    truth = chunk.labels()
+    predicted = oracle(chunk.features)
+    truth = chunk.labels
     tp = int(((predicted == 1) & (truth == 1)).sum())
     fp = int(((predicted == 1) & (truth == 0)).sum())
     fn = int(((predicted == 0) & (truth == 1)).sum())
@@ -48,9 +47,9 @@ class TestReadChunkCsv:
         assert chunk.id == "sensor_a"
         assert chunk.dimensionality == 4
         assert len(chunk) == 3
-        np.testing.assert_array_equal(chunk.labels(), [0, 1, 0])
+        np.testing.assert_array_equal(chunk.labels, [0, 1, 0])
         np.testing.assert_allclose(
-            chunk.feature_matrix()[2], [-1.5, 0.25, 1000.0, 0.0]
+            chunk.features[2], [-1.5, 0.25, 1000.0, 0.0]
         )
 
     def test_headerless_file(self, tmp_path):
@@ -111,7 +110,7 @@ class TestReadChunkCsv:
 
 class TestWriteChunkCsv:
     def test_layout(self, tmp_path):
-        chunk = make_chunk("out", [[1.5, -2.0], [0.0, 3.25]], [1, 0])
+        chunk = Chunk("out", [[1.5, -2.0], [0.0, 3.25]], [1, 0])
         path = tmp_path / "out.csv"
         write_chunk_csv(chunk, path)
         raw = path.read_bytes().decode()
@@ -121,7 +120,7 @@ class TestWriteChunkCsv:
         assert "\r" not in raw
 
     def test_empty_chunk_writes_header_only(self, tmp_path):
-        chunk = make_chunk("empty", np.zeros((0, 3)), [])
+        chunk = Chunk("empty", np.zeros((0, 3)), [])
         path = tmp_path / "empty.csv"
         write_chunk_csv(chunk, path)
         assert path.read_text() == "f0,f1,f2,label\n"
@@ -134,12 +133,12 @@ class TestWriteChunkCsv:
             ]
         )
         labels = list(rng.integers(0, 2, 20)) + [1]
-        chunk = make_chunk("trip", rows, labels)
+        chunk = Chunk("trip", rows, labels)
         path = tmp_path / "trip.csv"
         write_chunk_csv(chunk, path)
         back = read_chunk_csv(path)
-        np.testing.assert_array_equal(back.feature_matrix(), chunk.feature_matrix())
-        np.testing.assert_array_equal(back.labels(), chunk.labels())
+        np.testing.assert_array_equal(back.features, chunk.features)
+        np.testing.assert_array_equal(back.labels, chunk.labels)
 
     def test_generated_stream_round_trips(self, tmp_path):
         spec = StreamSpec(n_chunks=2, chunk_size=50, dimensionality=4, seed=8)
@@ -148,8 +147,8 @@ class TestWriteChunkCsv:
             write_chunk_csv(chunk, path)
             back = read_chunk_csv(path)
             assert back.id == chunk.id
-            np.testing.assert_array_equal(back.feature_matrix(), chunk.feature_matrix())
-            np.testing.assert_array_equal(back.labels(), chunk.labels())
+            np.testing.assert_array_equal(back.features, chunk.features)
+            np.testing.assert_array_equal(back.labels, chunk.labels)
 
 
 class TestSpecValidation:
@@ -195,26 +194,26 @@ class TestGenerateStream:
         spec = StreamSpec(n_chunks=2, chunk_size=100, dimensionality=6, noise=0.1, seed=42)
         first, second = generate_stream(spec), generate_stream(spec)
         for a, b in zip(first, second):
-            assert a.feature_matrix().tobytes() == b.feature_matrix().tobytes()
-            np.testing.assert_array_equal(a.labels(), b.labels())
+            assert a.features.tobytes() == b.features.tobytes()
+            np.testing.assert_array_equal(a.labels, b.labels)
 
     def test_seed_changes_data(self):
         base = dict(n_chunks=1, chunk_size=100, dimensionality=4)
         a = generate_stream(StreamSpec(seed=0, **base))[0]
         b = generate_stream(StreamSpec(seed=1, **base))[0]
-        assert a.feature_matrix().tobytes() != b.feature_matrix().tobytes()
+        assert a.features.tobytes() != b.features.tobytes()
 
     def test_both_classes_near_requested_balance(self):
         chunk = generate_stream(
             StreamSpec(n_chunks=1, chunk_size=2000, dimensionality=4, seed=5)
         )[0]
-        assert 0.4 <= chunk.labels().mean() <= 0.6
+        assert 0.4 <= chunk.labels.mean() <= 0.6
         skewed = generate_stream(
             StreamSpec(
                 n_chunks=1, chunk_size=2000, dimensionality=4, class_balance=0.8, seed=5
             )
         )[0]
-        assert 0.75 <= skewed.labels().mean() <= 0.85
+        assert 0.75 <= skewed.labels.mean() <= 0.85
 
     def test_zero_size_chunks(self):
         chunks = generate_stream(StreamSpec(n_chunks=2, chunk_size=0, dimensionality=3, seed=0))

@@ -12,8 +12,6 @@ from driftpp.knn import (
     minkowski_distance,
 )
 
-from conftest import make_instances
-
 
 def brute_force_predict(model, x):
     """Reference predictor: sort all (distance, index) pairs, vote the top
@@ -75,58 +73,52 @@ class TestMinkowskiDistance:
 
 class TestFit:
     def test_stores_points_verbatim(self):
-        data = make_instances(np.arange(20.0).reshape(10, 2), [0, 1] * 5)
-        model = knn_fit(KnnConfig(), data)
+        model = knn_fit(KnnConfig(), np.arange(20.0).reshape(10, 2), [0, 1] * 5)
         assert model.n_points == 10
         np.testing.assert_array_equal(model.features[3], [6.0, 7.0])
 
     def test_single_point_model_predicts_with_it(self):
-        model = knn_fit(KnnConfig(k=3), make_instances([[1.0, 1.0]], [1]))
+        model = knn_fit(KnnConfig(k=3), [[1.0, 1.0]], [1])
         label, score = knn_predict(model, [0.0, 0.0])
         assert label == ClassLabel.POSITIVE
         assert score == 1.0
 
     def test_empty_data_raises(self):
         with pytest.raises(EmptyTrainingSet):
-            knn_fit(KnnConfig(), [])
+            knn_fit(KnnConfig(), [], [])
 
-    def test_mixed_dimensionality_raises(self):
-        bad = make_instances([[1.0]], [0]) + make_instances([[1.0, 2.0]], [1])
+    def test_mismatched_lengths_raises(self):
         with pytest.raises(DimensionError):
-            knn_fit(KnnConfig(), bad)
+            knn_fit(KnnConfig(), [[1.0], [2.0]], [0])
 
 
 class TestPredict:
     def test_two_nearer_class0_points(self):
-        data = make_instances([[0.0, 0.0], [0.0, 1.0], [5.0, 5.0]], [0, 0, 1])
-        model = knn_fit(KnnConfig(k=3), data)
+        model = knn_fit(KnnConfig(k=3), [[0.0, 0.0], [0.0, 1.0], [5.0, 5.0]], [0, 0, 1])
         label, score = knn_predict(model, [0.0, 0.4])
         assert label == ClassLabel.NEGATIVE
         assert score == pytest.approx(1.0 / 3.0)
 
     def test_unanimous_class1(self):
-        data = make_instances(np.zeros((4, 2)) + [[0], [1], [2], [3]], [1, 1, 1, 1])
-        model = knn_fit(KnnConfig(k=3), data)
+        model = knn_fit(KnnConfig(k=3), np.zeros((4, 2)) + [[0], [1], [2], [3]], [1, 1, 1, 1])
         label, score = knn_predict(model, [10.0, 10.0])
         assert label == ClassLabel.POSITIVE
         assert score == 1.0
 
     def test_tied_vote_resolves_to_zero(self):
-        data = make_instances([[0.0], [1.0]], [0, 1])
-        model = knn_fit(KnnConfig(k=2), data)
+        model = knn_fit(KnnConfig(k=2), [[0.0], [1.0]], [0, 1])
         label, score = knn_predict(model, [0.5])
         assert score == 0.5
         assert label == ClassLabel.NEGATIVE
 
     def test_distance_tie_prefers_lower_stored_index(self):
         # both stored points are equidistant from the query; k=1 must take index 0
-        data = make_instances([[1.0, 0.0], [-1.0, 0.0]], [1, 0])
-        model = knn_fit(KnnConfig(k=1), data)
+        model = knn_fit(KnnConfig(k=1), [[1.0, 0.0], [-1.0, 0.0]], [1, 0])
         label, _ = knn_predict(model, [0.0, 0.0])
         assert label == ClassLabel.POSITIVE
 
     def test_dimension_mismatch(self):
-        model = knn_fit(KnnConfig(), make_instances([[1.0, 2.0]], [0]))
+        model = knn_fit(KnnConfig(), [[1.0, 2.0]], [0])
         with pytest.raises(DimensionError):
             knn_predict(model, [1.0, 2.0, 3.0])
 
@@ -134,7 +126,7 @@ class TestPredict:
         rng = np.random.default_rng(11)
         rows = rng.normal(size=(40, 3))
         labels = rng.integers(0, 2, 40)
-        model = knn_fit(KnnConfig(k=1), make_instances(rows, labels))
+        model = knn_fit(KnnConfig(k=1), rows, labels)
         predicted, _ = knn_predict_batch(model, rows)
         np.testing.assert_array_equal(predicted, labels)
 
@@ -142,7 +134,7 @@ class TestPredict:
         rng = np.random.default_rng(5)
         rows = rng.normal(size=(200, 6))
         labels = rng.integers(0, 2, 200)
-        model = knn_fit(KnnConfig(k=3), make_instances(rows, labels))
+        model = knn_fit(KnnConfig(k=3), rows, labels)
         queries = rng.normal(size=(50, 6))
         batch_labels, batch_scores = knn_predict_batch(model, queries)
         for i, q in enumerate(queries):
@@ -153,7 +145,7 @@ class TestPredict:
     def test_batch_equals_single_queries(self):
         rng = np.random.default_rng(9)
         rows = rng.normal(size=(30, 4))
-        model = knn_fit(KnnConfig(k=5), make_instances(rows, rng.integers(0, 2, 30)))
+        model = knn_fit(KnnConfig(k=5), rows, rng.integers(0, 2, 30))
         queries = rng.normal(size=(10, 4))
         batch_labels, batch_scores = knn_predict_batch(model, queries)
         for i, q in enumerate(queries):
@@ -165,11 +157,9 @@ class TestPredict:
         rng = np.random.default_rng(21)
         rows = rng.normal(size=(25, 3))
         labels = rng.integers(0, 2, 25)
-        model = knn_fit(KnnConfig(k=3), make_instances(rows, labels))
+        model = knn_fit(KnnConfig(k=3), rows, labels)
         perm = rng.permutation(25)
-        shuffled = knn_fit(
-            KnnConfig(k=3), make_instances(rows[perm], labels[perm])
-        )
+        shuffled = knn_fit(KnnConfig(k=3), rows[perm], labels[perm])
         queries = rng.normal(size=(20, 3))
         np.testing.assert_array_equal(
             knn_predict_batch(model, queries)[0],
@@ -195,7 +185,7 @@ class TestNeighborSearchExactness:
         # shortlist is still narrower than the model, at 1e6 it is not
         gen = np.random.default_rng(int(offset))
         rows = offset + gen.normal(scale=1e-3, size=(300, 5))
-        model = knn_fit(KnnConfig(k=3), make_instances(rows, gen.integers(0, 2, 300)))
+        model = knn_fit(KnnConfig(k=3), rows, gen.integers(0, 2, 300))
         queries = np.vstack([offset + gen.normal(scale=1e-3, size=(30, 5)), rows[:10]])
         self.assert_matches_oracle(model, queries)
 
@@ -203,20 +193,20 @@ class TestNeighborSearchExactness:
     def test_integer_grid_with_many_ties(self, k):
         gen = np.random.default_rng(40 + k)
         rows = gen.integers(0, 4, (500, 6)).astype(float)
-        model = knn_fit(KnnConfig(k=k), make_instances(rows, gen.integers(0, 2, 500)))
+        model = knn_fit(KnnConfig(k=k), rows, gen.integers(0, 2, 500))
         self.assert_matches_oracle(model, gen.integers(0, 4, (40, 6)).astype(float))
 
     @pytest.mark.parametrize("p", [1.0, 3.0])
     def test_full_scan_metrics(self, p):
         gen = np.random.default_rng(int(p))
         rows = np.vstack([gen.normal(size=(150, 4)), gen.integers(0, 3, (50, 4))])
-        model = knn_fit(KnnConfig(k=5, p=p), make_instances(rows, gen.integers(0, 2, 200)))
+        model = knn_fit(KnnConfig(k=5, p=p), rows, gen.integers(0, 2, 200))
         queries = np.vstack([gen.normal(size=(20, 4)), gen.integers(0, 3, (20, 4))])
         self.assert_matches_oracle(model, queries)
 
     def test_nan_query_takes_first_stored_points(self):
         # every distance is NaN, which a stable sort leaves in stored order
-        model = knn_fit(KnnConfig(k=3), make_instances(np.eye(5), [1, 1, 0, 0, 0]))
+        model = knn_fit(KnnConfig(k=3), np.eye(5), [1, 1, 0, 0, 0])
         labels, scores = knn_predict_batch(model, np.full((1, 5), np.nan))
         assert scores[0] == pytest.approx(2.0 / 3.0)
         assert labels[0] == 1

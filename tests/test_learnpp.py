@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from driftpp.core import ClassLabel, LabeledInstance
+from driftpp.core import ClassLabel
 from driftpp.errors import (
     DimensionError,
     EmptyEnsemble,
@@ -29,12 +29,11 @@ from driftpp.learnpp import (
     update_weights,
 )
 
-from conftest import make_instances, two_cluster_window
+from conftest import two_cluster_window
 
 
 def random_hypothesis(rng, n_points=8, d=3, window_ordinal=0):
-    data = make_instances(rng.normal(size=(n_points, d)), rng.integers(0, 2, n_points))
-    model = knn_fit(KnnConfig(k=3), data)
+    model = knn_fit(KnnConfig(k=3), rng.normal(size=(n_points, d)), rng.integers(0, 2, n_points))
     return WeakHypothesis(model, float(rng.uniform(0.05, 0.95)), window_ordinal)
 
 
@@ -127,33 +126,32 @@ class TestSampleTrainingSubset:
 class TestErrors:
     def test_perfect_hypothesis_error_is_zero(self, rng):
         window = two_cluster_window(20, 2, rng)
-        model = knn_fit(KnnConfig(k=1), window)
-        assert hypothesis_error(model, window, init_weights(20)) == 0.0
+        model = knn_fit(KnnConfig(k=1), *window)
+        assert hypothesis_error(model, *window, init_weights(20)) == 0.0
 
     def test_uniform_weight_two_misses(self):
         # model trained on inverted labels for two of the four points
-        window = make_instances([[0.0], [1.0], [10.0], [11.0]], [0, 0, 1, 1])
-        poisoned = make_instances([[0.0], [1.0], [10.0], [11.0]], [1, 0, 0, 1])
-        model = knn_fit(KnnConfig(k=1), poisoned)
-        error = hypothesis_error(model, window, init_weights(4))
+        rows = [[0.0], [1.0], [10.0], [11.0]]
+        model = knn_fit(KnnConfig(k=1), rows, [1, 0, 0, 1])
+        error = hypothesis_error(model, rows, [0, 0, 1, 1], init_weights(4))
         assert error == pytest.approx(0.5)
 
     def test_matches_loop_oracle(self, rng):
-        window = make_instances(rng.normal(size=(50, 3)), rng.integers(0, 2, 50))
-        model = knn_fit(KnnConfig(k=3), window[:20])
+        rows, labels = rng.normal(size=(50, 3)), rng.integers(0, 2, 50)
+        model = knn_fit(KnnConfig(k=3), rows[:20], labels[:20])
         dist = WeightDistribution.normalized(rng.uniform(0.1, 1.0, 50))
         want = 0.0
-        for i, inst in enumerate(window):
-            label, _ = knn_predict(model, inst.features)
-            if label != inst.label:
+        for i, (x, y) in enumerate(zip(rows, labels)):
+            label, _ = knn_predict(model, x)
+            if label != y:
                 want += dist.weights[i]
-        assert hypothesis_error(model, window, dist) == pytest.approx(want, abs=1e-12)
+        assert hypothesis_error(model, rows, labels, dist) == pytest.approx(want, abs=1e-12)
 
     def test_size_mismatch(self, rng):
         window = two_cluster_window(6, 2, rng)
-        model = knn_fit(KnnConfig(), window)
+        model = knn_fit(KnnConfig(), *window)
         with pytest.raises(DimensionError):
-            hypothesis_error(model, window, init_weights(5))
+            hypothesis_error(model, *window, init_weights(5))
 
     @pytest.mark.parametrize(
         "error,expected",
@@ -174,15 +172,15 @@ class TestErrors:
 class TestCompositeVote:
     def test_two_voter_log_weights(self):
         # voter A (beta 0.2) says 1, voter B (beta 0.5) says 0
-        pos = knn_fit(KnnConfig(k=1), make_instances([[0.0]], [1]))
-        neg = knn_fit(KnnConfig(k=1), make_instances([[0.0]], [0]))
+        pos = knn_fit(KnnConfig(k=1), [[0.0]], [1])
+        neg = knn_fit(KnnConfig(k=1), [[0.0]], [0])
         ensemble = [WeakHypothesis(pos, 0.2, 0), WeakHypothesis(neg, 0.5, 0)]
         label, score = composite_vote(ensemble, [0.0])
         assert label == ClassLabel.POSITIVE
         assert score == pytest.approx(math.log(5) / (math.log(5) + math.log(2)))
 
     def test_unanimous_zero(self):
-        neg = knn_fit(KnnConfig(k=1), make_instances([[0.0]], [0]))
+        neg = knn_fit(KnnConfig(k=1), [[0.0]], [0])
         ensemble = [WeakHypothesis(neg, 0.3, 0), WeakHypothesis(neg, 0.6, 0)]
         label, score = composite_vote(ensemble, [0.0])
         assert label == ClassLabel.NEGATIVE
@@ -223,29 +221,28 @@ class TestCompositeVote:
 class TestCompositeError:
     def test_correct_everywhere_is_zero(self, rng):
         window = two_cluster_window(12, 2, rng)
-        model = knn_fit(KnnConfig(k=1), window)
+        model = knn_fit(KnnConfig(k=1), *window)
         ensemble = [WeakHypothesis(model, 0.1, 0)]
-        assert composite_error(ensemble, window, init_weights(12)) == 0.0
+        assert composite_error(ensemble, *window, init_weights(12)) == 0.0
 
     def test_uniform_three_wrong_of_ten(self):
-        window = make_instances([[float(i)] for i in range(10)], [0] * 7 + [1] * 3)
+        rows = [[float(i)] for i in range(10)]
         # single k=1 voter trained with the last three labels inverted
-        flipped = make_instances([[float(i)] for i in range(10)], [0] * 10)
-        model = knn_fit(KnnConfig(k=1), flipped)
+        model = knn_fit(KnnConfig(k=1), rows, [0] * 10)
         ensemble = [WeakHypothesis(model, 0.2, 0)]
-        got = composite_error(ensemble, window, init_weights(10))
+        got = composite_error(ensemble, rows, [0] * 7 + [1] * 3, init_weights(10))
         assert got == pytest.approx(0.3)
 
     def test_matches_loop_oracle(self, rng):
-        window = make_instances(rng.normal(size=(30, 3)), rng.integers(0, 2, 30))
+        rows, labels = rng.normal(size=(30, 3)), rng.integers(0, 2, 30)
         ensemble = [random_hypothesis(rng) for _ in range(3)]
         dist = WeightDistribution.normalized(rng.uniform(0.1, 1.0, 30))
         want = 0.0
-        for i, inst in enumerate(window):
-            label, _ = composite_vote(ensemble, inst.features)
-            if label != inst.label:
+        for i, (x, y) in enumerate(zip(rows, labels)):
+            label, _ = composite_vote(ensemble, x)
+            if label != y:
                 want += dist.weights[i]
-        got = composite_error(ensemble, window, dist)
+        got = composite_error(ensemble, rows, labels, dist)
         assert got == pytest.approx(want, abs=1e-12)
 
 
@@ -292,34 +289,32 @@ class TestRunRound:
     def test_separable_window_masters_training_set(self, rng):
         window = two_cluster_window(40, 2, rng)
         config = LearnPPConfig(seed=0)
-        hyps, final = run_round(window, init_weights(40), config, np.random.default_rng(0))
+        hyps, final = run_round(*window, init_weights(40), config, np.random.default_rng(0))
         assert len(hyps) >= 1
         for hyp in hyps:
             assert 0.0 < hyp.normalized_error < 1.0
             assert hyp.vote_weight > 0.0
-        assert composite_error(hyps, window, init_weights(40)) == 0.0
+        assert composite_error(hyps, *window, init_weights(40)) == 0.0
 
     def test_early_stop_keeps_round_short(self, rng):
         # k=1 masters a separable window immediately; one hypothesis suffices
         window = two_cluster_window(30, 2, rng)
         config = LearnPPConfig(n_estimators=3, knn=KnnConfig(k=1), seed=1)
-        hyps, _ = run_round(window, init_weights(30), config, np.random.default_rng(1))
+        hyps, _ = run_round(*window, init_weights(30), config, np.random.default_rng(1))
         assert len(hyps) == 1
         assert hyps[0].normalized_error == BETA_FLOOR
 
     def test_contradictory_window_fails_cleanly(self):
         # same point with both labels: every candidate sits at error >= 0.5
-        window = make_instances([[0.0], [0.0]], [0, 1])
         config = LearnPPConfig(max_retries=3, knn=KnnConfig(k=2), seed=0)
         with pytest.raises(RoundFailed):
-            run_round(window, init_weights(2), config, np.random.default_rng(0))
+            run_round([[0.0], [0.0]], [0, 1], init_weights(2), config, np.random.default_rng(0))
 
     def test_single_positive_point_never_silent_beta_overflow(self, rng):
         rows = np.vstack([rng.normal(0.0, 0.5, (9, 2)), [[6.0, 6.0]]])
-        window = make_instances(rows, [0] * 9 + [1])
         config = LearnPPConfig(seed=2)
         try:
-            hyps, _ = run_round(window, init_weights(10), config, np.random.default_rng(2))
+            hyps, _ = run_round(rows, [0] * 9 + [1], init_weights(10), config, np.random.default_rng(2))
         except RoundFailed:
             return
         for hyp in hyps:
@@ -328,8 +323,8 @@ class TestRunRound:
     def test_deterministic_for_fixed_seed(self, rng):
         window = two_cluster_window(24, 3, rng)
         config = LearnPPConfig(seed=0)
-        first, d1 = run_round(window, init_weights(24), config, np.random.default_rng(7))
-        second, d2 = run_round(window, init_weights(24), config, np.random.default_rng(7))
+        first, d1 = run_round(*window, init_weights(24), config, np.random.default_rng(7))
+        second, d2 = run_round(*window, init_weights(24), config, np.random.default_rng(7))
         assert [h.normalized_error for h in first] == [h.normalized_error for h in second]
         assert [h.model.features.tobytes() for h in first] == [
             h.model.features.tobytes() for h in second
@@ -338,7 +333,7 @@ class TestRunRound:
 
     def test_empty_window_raises(self):
         with pytest.raises(EmptyWindow):
-            run_round([], init_weights(1), LearnPPConfig(), np.random.default_rng(0))
+            run_round([], [], init_weights(1), LearnPPConfig(), np.random.default_rng(0))
 
     def test_candidates_fit_on_distinct_window_instances(self, rng):
         # nearly all mass on four instances: a with-replacement draw of 20
@@ -348,9 +343,9 @@ class TestRunRound:
         raw = np.full(40, 0.001)
         raw[:4] = 1.0
         d0 = WeightDistribution.normalized(raw)
-        hyps, _ = run_round(window, d0, LearnPPConfig(seed=0), np.random.default_rng(3))
+        hyps, _ = run_round(*window, d0, LearnPPConfig(seed=0), np.random.default_rng(3))
         assert len(hyps) >= 1
-        pairs = {(inst.features.tobytes(), int(inst.label)) for inst in window}
+        pairs = {(row.tobytes(), int(label)) for row, label in zip(*window)}
         for hyp in hyps:
             rows = hyp.model.features
             assert len(np.unique(rows, axis=0)) == len(rows)
@@ -362,9 +357,8 @@ class TestRunRound:
             gen = np.random.default_rng(seed)
             rows = gen.normal(size=(30, 3))
             labels = (rows[:, 0] > 0).astype(int)
-            window = make_instances(rows, labels)
             _, final = run_round(
-                window, init_weights(30), LearnPPConfig(seed=seed), gen
+                rows, labels, init_weights(30), LearnPPConfig(seed=seed), gen
             )
             assert abs(final.weights.sum() - 1.0) <= 1e-9
 
@@ -379,7 +373,7 @@ class TestModel:
         window = two_cluster_window(20, 2, rng)
         config = LearnPPConfig(n_estimators=1, seed=0)
         model = LearnPPModel(config)
-        model.fit_initial(window)
+        model.fit_initial(*window)
         assert len(model.hypotheses) == 1
         for _ in range(10):
             x = rng.normal(size=2) * 3.0
@@ -390,30 +384,30 @@ class TestModel:
     def test_training_point_prediction_matches_its_label(self, rng):
         window = two_cluster_window(30, 2, rng)
         model = LearnPPModel(LearnPPConfig(seed=0))
-        model.fit_initial(window)
+        model.fit_initial(*window)
         hits = sum(
-            model.predict(inst.features)[0] == inst.label for inst in window
+            model.predict(x)[0] == label for x, label in zip(*window)
         )
-        assert hits == len(window)
+        assert hits == len(window[1])
 
     def test_buffer_below_window_size_defers_training(self, rng):
         window = two_cluster_window(8, 2, rng)
         model = LearnPPModel(LearnPPConfig(window_size=4, knn=KnnConfig(k=1), seed=0))
-        model.fit_initial(window)
+        model.fit_initial(*window)
         before = len(model.hypotheses)
-        for inst in window[:3]:
-            model.partial_fit(inst, was_correct=True)
+        for x, label in list(zip(*window))[:3]:
+            model.partial_fit(x, label, was_correct=True)
         assert model.buffer_size == 3
         assert len(model.hypotheses) == before
 
     def test_full_buffer_triggers_round(self, rng):
         window = two_cluster_window(8, 2, rng)
         model = LearnPPModel(LearnPPConfig(window_size=4, knn=KnnConfig(k=1), seed=0))
-        model.fit_initial(window)
+        model.fit_initial(*window)
         before_hyps = len(model.hypotheses)
         before_windows = model.windows_completed
-        for inst in window[:4]:
-            model.partial_fit(inst, was_correct=False)
+        for x, label in list(zip(*window))[:4]:
+            model.partial_fit(x, label, was_correct=False)
         assert model.buffer_size == 0
         assert model.windows_completed == before_windows + 1
         grown = len(model.hypotheses) - before_hyps
@@ -423,19 +417,19 @@ class TestModel:
         model = LearnPPModel(
             LearnPPConfig(window_size=10, max_window_ensembles=2, knn=KnnConfig(k=1), seed=0)
         )
-        model.fit_initial(two_cluster_window(10, 2, rng))
+        model.fit_initial(*two_cluster_window(10, 2, rng))
         for _ in range(2):
-            for inst in two_cluster_window(10, 2, rng):
-                model.partial_fit(inst, was_correct=True)
+            for x, label in zip(*two_cluster_window(10, 2, rng)):
+                model.partial_fit(x, label, was_correct=True)
         ordinals = {h.window_ordinal for h in model.hypotheses}
         assert ordinals == {1, 2}
 
     def test_single_class_window_dropped_with_no_new_hypotheses(self, rng):
         model = LearnPPModel(LearnPPConfig(seed=0))
-        model.fit_initial(two_cluster_window(10, 2, rng))
+        model.fit_initial(*two_cluster_window(10, 2, rng))
         before = len(model.hypotheses)
-        for inst in make_instances(rng.normal(size=(5, 2)), [1] * 5):
-            model.partial_fit(inst, was_correct=True)
+        for x in rng.normal(size=(5, 2)):
+            model.partial_fit(x, 1, was_correct=True)
         model.flush_window()
         assert len(model.hypotheses) == before
         assert model.buffer_size == 0
@@ -443,26 +437,26 @@ class TestModel:
 
     def test_flush_on_empty_buffer_is_noop(self, rng):
         model = LearnPPModel(LearnPPConfig(seed=0))
-        model.fit_initial(two_cluster_window(10, 2, rng))
+        model.fit_initial(*two_cluster_window(10, 2, rng))
         windows = model.windows_completed
         model.flush_window()
         assert model.windows_completed == windows
 
     def test_monotone_growth_between_prunes(self, rng):
         model = LearnPPModel(LearnPPConfig(window_size=6, knn=KnnConfig(k=1), seed=3))
-        model.fit_initial(two_cluster_window(12, 2, rng))
+        model.fit_initial(*two_cluster_window(12, 2, rng))
         counts = [len(model.hypotheses)]
         for _ in range(3):
-            for inst in two_cluster_window(6, 2, rng):
-                model.partial_fit(inst, was_correct=True)
+            for x, label in zip(*two_cluster_window(6, 2, rng)):
+                model.partial_fit(x, label, was_correct=True)
             counts.append(len(model.hypotheses))
         assert counts == sorted(counts)
 
     def test_window_ordinals_nondecreasing(self, rng):
         model = LearnPPModel(LearnPPConfig(window_size=6, knn=KnnConfig(k=1), seed=3))
-        model.fit_initial(two_cluster_window(12, 2, rng))
+        model.fit_initial(*two_cluster_window(12, 2, rng))
         for _ in range(2):
-            for inst in two_cluster_window(6, 2, rng):
-                model.partial_fit(inst, was_correct=True)
+            for x, label in zip(*two_cluster_window(6, 2, rng)):
+                model.partial_fit(x, label, was_correct=True)
         ordinals = [h.window_ordinal for h in model.hypotheses]
         assert ordinals == sorted(ordinals)

@@ -11,8 +11,6 @@ from driftpp.pca import (
     write_tevr_csv,
 )
 
-from conftest import make_chunk
-
 
 def svd_route_basis(matrix):
     """Independent reference: principal axes via SVD of the centered data."""
@@ -34,7 +32,7 @@ def align_signs(rows):
 class TestFit:
     def test_rank_one_line(self):
         xs = np.linspace(-3, 3, 40)
-        chunk = make_chunk("line", np.column_stack([xs, 2 * xs]), np.zeros(40, int))
+        chunk = Chunk("line", np.column_stack([xs, 2 * xs]), np.zeros(40, int))
         basis = pca_fit(chunk, 2)
         np.testing.assert_allclose(basis.explained_variance_ratio, [1.0, 0.0], atol=1e-9)
         direction = basis.components[0]
@@ -42,7 +40,7 @@ class TestFit:
 
     def test_isotropic_cloud_splits_variance(self, rng):
         rows = rng.normal(size=(4000, 2))
-        chunk = make_chunk("iso", rows, np.zeros(4000, int))
+        chunk = Chunk("iso", rows, np.zeros(4000, int))
         basis = pca_fit(chunk, 2)
         np.testing.assert_allclose(
             basis.explained_variance_ratio, [0.5, 0.5], atol=0.05
@@ -51,7 +49,7 @@ class TestFit:
     def test_matches_svd_oracle(self, rng):
         for n, d in [(50, 8), (120, 5), (200, 12)]:
             rows = rng.normal(size=(n, d)) @ rng.normal(size=(d, d))
-            chunk = make_chunk("x", rows, np.zeros(n, int))
+            chunk = Chunk("x", rows, np.zeros(n, int))
             basis = pca_fit(chunk, d)
             want_axes, want_vars = svd_route_basis(rows)
             np.testing.assert_allclose(
@@ -63,21 +61,21 @@ class TestFit:
 
     def test_components_orthonormal(self, rng):
         rows = rng.normal(size=(80, 6))
-        basis = pca_fit(make_chunk("x", rows, np.zeros(80, int)), 6)
+        basis = pca_fit(Chunk("x", rows, np.zeros(80, int)), 6)
         gram = basis.components @ basis.components.T
         np.testing.assert_allclose(gram, np.eye(6), atol=1e-10)
 
     def test_sign_rule_largest_entry_positive(self, rng):
         rows = rng.normal(size=(60, 5)) * np.array([5.0, 1.0, 1.0, 1.0, 1.0])
-        basis = pca_fit(make_chunk("x", rows, np.zeros(60, int)), 5)
+        basis = pca_fit(Chunk("x", rows, np.zeros(60, int)), 5)
         for row in basis.components:
             assert row[np.argmax(np.abs(row))] > 0
 
     def test_mean_shift_invariance(self, rng):
         rows = rng.normal(size=(60, 4))
         shifted = rows + np.array([100.0, -40.0, 7.0, 0.5])
-        a = pca_fit(make_chunk("a", rows, np.zeros(60, int)), 4)
-        b = pca_fit(make_chunk("b", shifted, np.zeros(60, int)), 4)
+        a = pca_fit(Chunk("a", rows, np.zeros(60, int)), 4)
+        b = pca_fit(Chunk("b", shifted, np.zeros(60, int)), 4)
         np.testing.assert_allclose(a.components, b.components, atol=1e-8)
         np.testing.assert_allclose(
             a.explained_variance_ratio, b.explained_variance_ratio, atol=1e-9
@@ -85,44 +83,44 @@ class TestFit:
 
     def test_prefix_property(self, rng):
         rows = rng.normal(size=(70, 8)) @ rng.normal(size=(8, 8))
-        chunk = make_chunk("x", rows, np.zeros(70, int))
+        chunk = Chunk("x", rows, np.zeros(70, int))
         small = pca_fit(chunk, 3)
         large = pca_fit(chunk, 5)
         np.testing.assert_allclose(small.components, large.components[:3], atol=1e-10)
 
     def test_single_row_raises(self):
         with pytest.raises(DegenerateData):
-            pca_fit(make_chunk("x", [[1.0, 2.0]], [0]), 1)
+            pca_fit(Chunk("x", [[1.0, 2.0]], [0]), 1)
 
     def test_zero_variance_raises(self):
         rows = np.ones((10, 3))
         with pytest.raises(DegenerateData):
-            pca_fit(make_chunk("x", rows, np.zeros(10, int)), 2)
+            pca_fit(Chunk("x", rows, np.zeros(10, int)), 2)
 
     @pytest.mark.parametrize("k", [0, 5])
     def test_component_count_out_of_range(self, rng, k):
         rows = rng.normal(size=(20, 4))
         with pytest.raises(DimensionError):
-            pca_fit(make_chunk("x", rows, np.zeros(20, int)), k)
+            pca_fit(Chunk("x", rows, np.zeros(20, int)), k)
 
 
 class TestTransform:
     def test_round_trip_full_rank(self, rng):
         rows = rng.normal(size=(40, 6)) @ rng.normal(size=(6, 6))
-        chunk = make_chunk("x", rows, np.zeros(40, int))
+        chunk = Chunk("x", rows, np.zeros(40, int))
         basis = pca_fit(chunk, 6)
         reduced = pca_transform(basis, chunk, 6)
-        restored = pca_inverse_transform(basis, reduced.feature_matrix())
+        restored = pca_inverse_transform(basis, reduced.features)
         np.testing.assert_allclose(restored, rows, atol=1e-8)
 
     def test_rank_one_single_component_preserves_geometry(self):
         xs = np.linspace(-2, 2, 30)
         rows = np.column_stack([xs, 2 * xs])
-        chunk = make_chunk("line", rows, np.zeros(30, int))
+        chunk = Chunk("line", rows, np.zeros(30, int))
         basis = pca_fit(chunk, 1)
         reduced = pca_transform(basis, chunk, 1)
         # pairwise distances survive projection onto the data's own line
-        scores = reduced.feature_matrix()[:, 0]
+        scores = reduced.features[:, 0]
         want = np.abs(xs[:, None] - xs[None, :]) * np.sqrt(5)
         got = np.abs(scores[:, None] - scores[None, :])
         np.testing.assert_allclose(got, want, atol=1e-9)
@@ -130,24 +128,24 @@ class TestTransform:
     def test_preserves_labels_and_id(self, rng):
         rows = rng.normal(size=(25, 4))
         labels = rng.integers(0, 2, 25)
-        chunk = make_chunk("keepme", rows, labels)
+        chunk = Chunk("keepme", rows, labels)
         basis = pca_fit(chunk, 4)
         reduced = pca_transform(basis, chunk, 2)
         assert reduced.id == "keepme"
-        np.testing.assert_array_equal(reduced.labels(), chunk.labels())
-        assert reduced.feature_matrix().shape == (25, 2)
+        np.testing.assert_array_equal(reduced.labels, chunk.labels)
+        assert reduced.features.shape == (25, 2)
 
     def test_k_beyond_basis_raises(self, rng):
         rows = rng.normal(size=(20, 4))
-        chunk = make_chunk("x", rows, np.zeros(20, int))
+        chunk = Chunk("x", rows, np.zeros(20, int))
         basis = pca_fit(chunk, 3)
         with pytest.raises(DimensionError):
             pca_transform(basis, chunk, 4)
 
     def test_dim_mismatch_raises(self, rng):
         rows = rng.normal(size=(20, 4))
-        basis = pca_fit(make_chunk("x", rows, np.zeros(20, int)), 3)
-        other = make_chunk("y", rng.normal(size=(5, 6)), np.zeros(5, int))
+        basis = pca_fit(Chunk("x", rows, np.zeros(20, int)), 3)
+        other = Chunk("y", rng.normal(size=(5, 6)), np.zeros(5, int))
         with pytest.raises(DimensionError):
             pca_transform(basis, other, 2)
 
@@ -155,24 +153,24 @@ class TestTransform:
 class TestTevr:
     def test_full_spectrum_sums_to_one(self, rng):
         rows = rng.normal(size=(50, 7))
-        basis = pca_fit(make_chunk("x", rows, np.zeros(50, int)), 4)
+        basis = pca_fit(Chunk("x", rows, np.zeros(50, int)), 4)
         assert tevr(basis, 7) == pytest.approx(1.0, abs=1e-9)
 
     def test_monotone_in_k(self, rng):
         rows = rng.normal(size=(50, 7)) @ rng.normal(size=(7, 7))
-        basis = pca_fit(make_chunk("x", rows, np.zeros(50, int)), 7)
+        basis = pca_fit(Chunk("x", rows, np.zeros(50, int)), 7)
         values = [tevr(basis, k) for k in range(1, 8)]
         assert values == sorted(values)
 
     def test_dominant_direction(self, rng):
         rows = rng.normal(size=(200, 6)) * np.array([20.0, 1.0, 1.0, 1.0, 1.0, 1.0])
-        basis = pca_fit(make_chunk("x", rows, np.zeros(200, int)), 6)
+        basis = pca_fit(Chunk("x", rows, np.zeros(200, int)), 6)
         assert tevr(basis, 1) >= 0.98
 
     @pytest.mark.parametrize("k", [0, 8])
     def test_k_out_of_range(self, rng, k):
         rows = rng.normal(size=(30, 7))
-        basis = pca_fit(make_chunk("x", rows, np.zeros(30, int)), 3)
+        basis = pca_fit(Chunk("x", rows, np.zeros(30, int)), 3)
         with pytest.raises(DimensionError):
             tevr(basis, k)
 
@@ -180,7 +178,7 @@ class TestTevr:
 class TestTevrCsv:
     def test_layout(self, rng, tmp_path):
         rows = rng.normal(size=(40, 3))
-        basis = pca_fit(make_chunk("x", rows, np.zeros(40, int)), 3)
+        basis = pca_fit(Chunk("x", rows, np.zeros(40, int)), 3)
         path = tmp_path / "tevr.csv"
         write_tevr_csv(basis, path)
         lines = path.read_text().splitlines()
