@@ -12,31 +12,27 @@ from .adaptive import (
 )
 from .core import (
     Chunk,
-    ClassLabel,
     PredictionRecord,
-    slice_features,
     standardize_chunk,
     validate_chunk,
 )
 from .data import DriftSpec, StreamSpec, generate_stream, read_chunk_csv, write_chunk_csv
-from .knn import KnnConfig, KnnModel, knn_fit, knn_predict, knn_predict_batch, minkowski_distance
+from .knn import KnnConfig, KnnModel, knn_fit, knn_predict_batch, minkowski_distance
 from .learnpp import (
     LearnPPConfig,
     LearnPPModel,
     WeakHypothesis,
     WeightDistribution,
     composite_error,
-    composite_vote,
     hypothesis_error,
     init_weights,
-    normalize_composite_error,
     normalize_error,
     run_round,
     sample_training_subset,
     update_weights,
 )
 from .metrics import ConfusionCounts, auc, confusion, f1, fnr
-from .pca import PcaModel, pca_fit, pca_inverse_transform, pca_transform, tevr, write_tevr_csv
+from .pca import PcaModel, pca_fit, pca_transform, tevr
 
 __version__ = "0.1.0"
 
@@ -51,9 +47,7 @@ __all__ = [
     "reduce_chunk",
     "run_experiment",
     "Chunk",
-    "ClassLabel",
     "PredictionRecord",
-    "slice_features",
     "standardize_chunk",
     "validate_chunk",
     "DriftSpec",
@@ -64,7 +58,6 @@ __all__ = [
     "KnnConfig",
     "KnnModel",
     "knn_fit",
-    "knn_predict",
     "knn_predict_batch",
     "minkowski_distance",
     "LearnPPConfig",
@@ -72,10 +65,8 @@ __all__ = [
     "WeakHypothesis",
     "WeightDistribution",
     "composite_error",
-    "composite_vote",
     "hypothesis_error",
     "init_weights",
-    "normalize_composite_error",
     "normalize_error",
     "run_round",
     "sample_training_subset",
@@ -87,8 +78,6 @@ __all__ = [
     "fnr",
     "PcaModel",
     "pca_fit",
-    "pca_inverse_transform",
     "pca_transform",
     "tevr",
-    "write_tevr_csv",
 ]

@@ -161,6 +161,19 @@ def chunk_report(
     )
 
 
+def _invalid_note(chunk: Chunk) -> str | None:
+    """Why a chunk fails validation (its violation count and the first
+    one), or None when it passes."""
+    violations = validate_chunk(chunk).violations
+    if not violations:
+        return None
+    first = violations[0]
+    return (
+        f"chunk {chunk.id} is invalid ({len(violations)} violations; "
+        f"first at instance {first.index}: {first.reason})"
+    )
+
+
 def pretrain(
     initial: Chunk, config: RunConfig
 ) -> tuple[LearnPPModel, ChunkReport, list[PredictionRecord]]:
@@ -170,14 +183,9 @@ def pretrain(
     trained ensemble on the same chunk to produce the initial-classifier
     report (training-set metrics, never alarmed).
     """
-    result = validate_chunk(initial)
-    if not result.ok:
-        first = result.violations[0]
-        raise PretrainFailed(
-            f"initial chunk {initial.id} is invalid "
-            f"({len(result.violations)} violations; first at instance "
-            f"{first.index}: {first.reason})"
-        )
+    note = _invalid_note(initial)
+    if note is not None:
+        raise PretrainFailed(f"initial {note}")
     if len(initial) == 0:
         raise PretrainFailed(f"initial chunk {initial.id} is empty")
     present = set(initial.labels.tolist())
@@ -228,13 +236,8 @@ def process_chunk(
         raise EmptyEnsemble("model has no hypotheses; pretrain before processing chunks")
     if len(chunk) == 0:
         return chunk_report(chunk.id, [], history, config), []
-    violations = validate_chunk(chunk).violations
-    if violations:
-        first = violations[0]
-        note = (
-            f"chunk {chunk.id} is invalid ({len(violations)} violations; "
-            f"first at instance {first.index}: {first.reason})"
-        )
+    note = _invalid_note(chunk)
+    if note is not None:
         logger.error("%s", note)
         return chunk_report(chunk.id, [], history, config, error=note), []
     try:

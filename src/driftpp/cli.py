@@ -15,7 +15,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from .adaptive import ChunkReport, RunConfig, chunk_report, run_experiment
@@ -31,121 +31,108 @@ logger = logging.getLogger(__name__)
 
 _LOG_LEVELS = {"error": logging.ERROR, "warn": logging.WARNING, "info": logging.INFO, "debug": logging.DEBUG}
 
+# config keys and their value types; a key left out keeps the default of
+# the field or parameter it sets
 _GENERATE_KEYS = {
-    "n_chunks": True,
-    "chunk_size": True,
-    "dimensionality": True,
-    "class_balance": False,
-    "noise": False,
-    "seed": False,
-    "drift_kind": False,
-    "drift_at_chunk": False,
-    "drift_magnitude": False,
-    "drift_gradual_span": False,
+    "n_chunks": int,
+    "chunk_size": int,
+    "dimensionality": int,
+    "class_balance": float,
+    "noise": float,
+    "seed": int,
+    "drift_kind": str,
+    "drift_at_chunk": int,
+    "drift_magnitude": float,
+    "drift_gradual_span": int,
 }
+_GENERATE_REQUIRED = ("n_chunks", "chunk_size", "dimensionality")
 
 _RUN_KEYS = {
-    "initial_chunk": True,
-    "chunks": True,
-    "pc_count": False,
-    "n_estimators": False,
-    "window_size": False,
-    "error_threshold": False,
-    "max_retries": False,
-    "max_window_ensembles": False,
-    "knn_k": False,
-    "knn_p": False,
-    "seed": False,
-    "drift_f1_drop": False,
-    "drift_baseline_window": False,
-    "has_header": False,
+    "initial_chunk": str,
+    "chunks": str,
+    "pc_count": int,
+    "n_estimators": int,
+    "window_size": int,
+    "error_threshold": float,
+    "max_retries": int,
+    "max_window_ensembles": int,
+    "knn_k": int,
+    "knn_p": float,
+    "seed": int,
+    "drift_f1_drop": float,
+    "drift_baseline_window": int,
+    "has_header": bool,
 }
+_RUN_REQUIRED = ("initial_chunk", "chunks")
+
+# the words that spell None for these keys
+_NONE_SPELLINGS = {"window_size": "chunk", "max_window_ensembles": "unbounded"}
 
 REPORT_COLUMNS = ["id", "f1", "auc", "fnr", "correct", "incorrect", "percent_correct", "drift_alarm"]
 
 
-def _load_config(path: Path, known: dict[str, bool]) -> dict[str, str]:
+def _load_config(path: Path, kinds: dict[str, type], required: tuple[str, ...]) -> dict:
+    """Read a key=value config file into values of each key's type."""
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
-    values: dict[str, str] = {}
+    values: dict = {}
     for line_no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
         if "=" not in stripped:
             raise ConfigError(f"{path}:{line_no}: expected key=value, got {stripped!r}")
-        key, _, value = stripped.partition("=")
-        key = key.strip()
-        if key not in known:
+        key, _, raw = stripped.partition("=")
+        key, raw = key.strip(), raw.strip()
+        if key not in kinds:
             raise ConfigError(f"{path}:{line_no}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"{path}:{line_no}: duplicate key {key!r}")
-        values[key] = value.strip()
-    for key, required in known.items():
-        if required and key not in values:
+        try:
+            values[key] = _parse_typed(key, raw, kinds[key])
+        except ValueError:
+            kind = kinds[key].__name__
+            raise ConfigError(f"{path}:{line_no}: key {key!r}: cannot parse {raw!r} as {kind}") from None
+    for key in required:
+        if key not in values:
             raise ConfigError(f"{path}: missing required key {key!r}")
     return values
 
 
-def _parse_typed(values: dict[str, str], key: str, kind, default):
-    if key not in values:
-        return default
-    raw = values[key]
-    try:
-        if kind is bool:
-            if raw.lower() in ("true", "1", "yes"):
-                return True
-            if raw.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError(raw)
-        return kind(raw)
-    except ValueError:
-        raise ConfigError(f"key {key!r}: cannot parse {raw!r} as {kind.__name__}") from None
+def _parse_typed(key: str, raw: str, kind):
+    if _NONE_SPELLINGS.get(key) == raw:
+        return None
+    if kind is bool:
+        if raw.lower() in ("true", "1", "yes"):
+            return True
+        if raw.lower() in ("false", "0", "no"):
+            return False
+        raise ValueError(raw)
+    return kind(raw)
 
 
-def _parse_stream_spec(values: dict[str, str]) -> StreamSpec:
-    drift = DriftSpec(
-        kind=values.get("drift_kind", "none"),
-        at_chunk=_parse_typed(values, "drift_at_chunk", int, 1),
-        magnitude=_parse_typed(values, "drift_magnitude", float, 1.0),
-        gradual_span=_parse_typed(values, "drift_gradual_span", int, 1),
-    )
-    return StreamSpec(
-        n_chunks=_parse_typed(values, "n_chunks", int, None),
-        chunk_size=_parse_typed(values, "chunk_size", int, None),
-        dimensionality=_parse_typed(values, "dimensionality", int, None),
-        class_balance=_parse_typed(values, "class_balance", float, 0.5),
-        noise=_parse_typed(values, "noise", float, 0.0),
-        seed=_parse_typed(values, "seed", int, 0),
-        drift=drift,
-    )
+def _fields(cls, values: dict, prefix: str = "") -> dict:
+    """The values whose key is ``prefix`` plus a field name of dataclass
+    ``cls``, keyed by that field name."""
+    names = {field.name for field in fields(cls)}
+    return {
+        key[len(prefix):]: value
+        for key, value in values.items()
+        if key.startswith(prefix) and key[len(prefix):] in names
+    }
 
 
-def _parse_run_config(values: dict[str, str], seed_override: int | None) -> RunConfig:
-    window_size: int | None
-    raw_window = values.get("window_size", "chunk")
-    window_size = None if raw_window == "chunk" else _parse_typed(values, "window_size", int, None)
-    raw_cap = values.get("max_window_ensembles", "unbounded")
-    cap = None if raw_cap == "unbounded" else _parse_typed(values, "max_window_ensembles", int, None)
-    seed = seed_override if seed_override is not None else _parse_typed(values, "seed", int, 0)
-    learnpp = LearnPPConfig(
-        n_estimators=_parse_typed(values, "n_estimators", int, 3),
-        window_size=window_size,
-        error_threshold=_parse_typed(values, "error_threshold", float, 0.5),
-        max_retries=_parse_typed(values, "max_retries", int, 10),
-        max_window_ensembles=cap,
-        knn=KnnConfig(
-            k=_parse_typed(values, "knn_k", int, 3),
-            p=_parse_typed(values, "knn_p", float, 2.0),
-        ),
-        seed=seed,
-    )
-    return RunConfig(
-        learnpp=learnpp,
-        pc_count=_parse_typed(values, "pc_count", int, 75),
-        drift_f1_drop=_parse_typed(values, "drift_f1_drop", float, 0.2),
-        drift_baseline_window=_parse_typed(values, "drift_baseline_window", int, 3),
-    )
+def _parse_stream_spec(values: dict) -> StreamSpec:
+    drift = DriftSpec(**_fields(DriftSpec, values, "drift_"))
+    return StreamSpec(**_fields(StreamSpec, values), drift=drift)
+
+
+def _parse_run_config(values: dict, seed_override: int | None) -> RunConfig:
+    learnpp = _fields(LearnPPConfig, values)
+    if seed_override is not None:
+        learnpp["seed"] = seed_override
+    knn = KnnConfig(**_fields(KnnConfig, values, "knn_"))
+    return RunConfig(learnpp=LearnPPConfig(**learnpp, knn=knn), **_fields(RunConfig, values))
 
 
 def _resolve_chunk_paths(raw: str, base: Path) -> list[Path]:
@@ -204,7 +191,7 @@ def _print_report_table(rows: list[list[str]]) -> None:
 
 def cmd_generate(args: argparse.Namespace) -> int:
     config_path = Path(args.config)
-    values = _load_config(config_path, _GENERATE_KEYS)
+    values = _load_config(config_path, _GENERATE_KEYS, _GENERATE_REQUIRED)
     spec = _parse_stream_spec(values)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -223,10 +210,10 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     config_path = Path(args.config)
-    values = _load_config(config_path, _RUN_KEYS)
+    values = _load_config(config_path, _RUN_KEYS, _RUN_REQUIRED)
     config = _parse_run_config(values, args.seed)
     base = config_path.parent
-    has_header = _parse_typed(values, "has_header", bool, True)
+    header = {"has_header": values["has_header"]} if "has_header" in values else {}
 
     initial_path = Path(values["initial_chunk"])
     if not initial_path.is_absolute():
@@ -238,8 +225,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         if not path.is_file():
             raise ConfigError(f"chunk file not found: {path}")
 
-    initial = read_chunk_csv(initial_path, has_header)
-    chunks = [read_chunk_csv(path, has_header) for path in chunk_paths]
+    initial = read_chunk_csv(initial_path, **header)
+    chunks = [read_chunk_csv(path, **header) for path in chunk_paths]
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -252,8 +239,8 @@ def cmd_run(args: argparse.Namespace) -> int:
                     {
                         "chunk_id": record.chunk_id,
                         "index": record.index,
-                        "truth": int(record.truth),
-                        "predicted": int(record.predicted),
+                        "truth": record.truth,
+                        "predicted": record.predicted,
                         "score": record.score,
                     }
                 )
@@ -296,9 +283,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         print("no records")
         return 0
 
-    config = RunConfig(
-        drift_f1_drop=args.drift_f1_drop, drift_baseline_window=args.drift_baseline_window
-    )
+    config = RunConfig(**_fields(RunConfig, vars(args)))
     reports: list[ChunkReport] = []
     for chunk_id, records in grouped.items():
         reports.append(chunk_report(chunk_id, records, reports, config))
@@ -326,10 +311,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     rep = sub.add_parser("report", help="recompute per-chunk metrics from a records file")
     rep.add_argument("records", help="records.jsonl produced by a run")
-    rep.add_argument("--drift-f1-drop", type=float, default=0.2, dest="drift_f1_drop")
-    rep.add_argument(
-        "--drift-baseline-window", type=int, default=3, dest="drift_baseline_window"
-    )
+    # left unset, each keeps the RunConfig default
+    rep.add_argument("--drift-f1-drop", type=float, default=argparse.SUPPRESS)
+    rep.add_argument("--drift-baseline-window", type=int, default=argparse.SUPPRESS)
     rep.set_defaults(func=cmd_report)
     return parser
 

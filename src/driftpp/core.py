@@ -10,29 +10,19 @@ and safe to share between threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import IntEnum
 
 import numpy as np
 
 from .errors import DimensionError
 
 __all__ = [
-    "ClassLabel",
     "Chunk",
     "PredictionRecord",
     "ChunkViolation",
     "ValidationResult",
     "validate_chunk",
-    "slice_features",
     "standardize_chunk",
 ]
-
-
-class ClassLabel(IntEnum):
-    """Binary class label. Only the values 0 and 1 are constructible."""
-
-    NEGATIVE = 0
-    POSITIVE = 1
 
 
 def _frozen_array(values, dtype) -> np.ndarray:
@@ -80,20 +70,24 @@ class Chunk:
 class PredictionRecord:
     """Outcome of one test-then-train step, written before the model updates.
 
-    ``score`` is the ensemble's confidence for class 1, in [0, 1]. The
-    predicted label is 1 exactly when the class-1 vote mass exceeds the
-    class-0 vote mass; a tied vote resolves to 0.
+    ``truth`` and ``predicted`` are stored as plain ints; a value that does
+    not equal 0 or 1 is rejected. ``score`` is the ensemble's confidence for
+    class 1, in [0, 1]. The predicted label is 1 exactly when the class-1
+    vote mass exceeds the class-0 vote mass; a tied vote resolves to 0.
     """
 
     chunk_id: str
     index: int
-    truth: ClassLabel
-    predicted: ClassLabel
+    truth: int
+    predicted: int
     score: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "truth", ClassLabel(self.truth))
-        object.__setattr__(self, "predicted", ClassLabel(self.predicted))
+        for name in ("truth", "predicted"):
+            value = getattr(self, name)
+            if value not in (0, 1):
+                raise ValueError(f"{name} {value!r} is not 0 or 1")
+            object.__setattr__(self, name, int(value))
         score = float(self.score)
         if not 0.0 <= score <= 1.0:
             raise ValueError(f"score {score} outside [0, 1]")
@@ -127,21 +121,6 @@ def validate_chunk(chunk: Chunk) -> ValidationResult:
         kind = "NaN" if np.isnan(chunk.features[pos, col]) else "non-finite"
         violations.append(ChunkViolation(pos, f"{kind} feature at column {col}"))
     return ValidationResult(tuple(violations))
-
-
-def slice_features(chunk: Chunk, k: int) -> Chunk:
-    """Keep the first ``k`` feature columns of every instance.
-
-    Labels and order are untouched. Slicing to k2 <= k1 after slicing to k1
-    equals slicing to k2 directly.
-    """
-    if not 1 <= k <= chunk.dimensionality:
-        raise DimensionError(
-            f"cannot keep {k} of {chunk.dimensionality} feature columns"
-        )
-    if k == chunk.dimensionality:
-        return chunk
-    return Chunk(chunk.id, chunk.features[:, :k], chunk.labels)
 
 
 def standardize_chunk(chunk: Chunk) -> Chunk:

@@ -37,10 +37,6 @@ class UndefinedAUC(DriftppError):
     """AUC is undefined because only one class is present."""
 
 
-class ChunkValidationError(DriftppError):
-    """A chunk violated its structural invariants."""
-
-
 class ChunkFormatError(DriftppError):
     """A chunk file could not be parsed."""
 

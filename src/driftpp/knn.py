@@ -1,5 +1,9 @@
 """K-nearest-neighbor weak learner over a Minkowski metric.
 
+:func:`knn_predict_batch` is the one prediction entry point: it takes an
+(n, d) query block and returns (labels, scores) arrays; a single query is a
+one-row block, ``x[None]``.
+
 The neighbors of a query are the first k stored points in (distance, stored
 index) order, so distance ties at the neighborhood boundary go to the lower
 stored-point index and results are reproducible regardless of query
@@ -14,10 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ClassLabel
 from .errors import DimensionError, EmptyTrainingSet
 
-__all__ = ["KnnConfig", "KnnModel", "minkowski_distance", "knn_fit", "knn_predict", "knn_predict_batch"]
+__all__ = ["KnnConfig", "KnnModel", "minkowski_distance", "knn_fit", "knn_predict_batch"]
 
 # cap on scratch memory per block of query rows, in float64 cells
 _BLOCK_CELLS = 2_000_000
@@ -170,8 +173,8 @@ def knn_predict_batch(model: KnnModel, queries: np.ndarray) -> tuple[np.ndarray,
     """Predict labels and class-1 scores for an (n_q, d) query array.
 
     The score is the class-1 fraction among the min(k, n_points) nearest
-    stored points. A query at exactly 0.5 resolves to label 0. Output is
-    identical to predicting each row on its own.
+    stored points. A query at exactly 0.5 resolves to label 0. A row's
+    output does not depend on the other rows of the block.
     """
     queries = np.ascontiguousarray(queries, dtype=np.float64)
     if queries.ndim != 2 or queries.shape[1] != model.dimensionality:
@@ -192,11 +195,3 @@ def knn_predict_batch(model: KnnModel, queries: np.ndarray) -> tuple[np.ndarray,
     labels = (scores > 0.5).astype(np.int64)
     return labels, scores
 
-
-def knn_predict(model: KnnModel, x) -> tuple[ClassLabel, float]:
-    """Predict one query vector. See :func:`knn_predict_batch`."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise DimensionError(f"expected a 1-D query vector, got shape {x.shape}")
-    labels, scores = knn_predict_batch(model, x[None, :])
-    return ClassLabel(int(labels[0])), float(scores[0])

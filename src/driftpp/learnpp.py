@@ -20,8 +20,10 @@ buffer becomes the next training window. Instances that the ensemble
 misclassified at arrival enter the window with doubled initial weight. Old
 window groups can be pruned wholesale to bound memory.
 
-Predictions are read-only and may run concurrently; training calls must be
-serialized by the caller (single writer).
+Prediction takes an (n, d) block and returns (labels, scores) arrays, the
+composite vote of every retained hypothesis; a single query is a one-row
+block. Predictions are read-only and may run concurrently; training calls
+must be serialized by the caller (single writer).
 """
 from __future__ import annotations
 
@@ -32,7 +34,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ClassLabel
 from .errors import (
     DimensionError,
     EmptyEnsemble,
@@ -51,9 +52,7 @@ __all__ = [
     "sample_training_subset",
     "hypothesis_error",
     "normalize_error",
-    "composite_vote",
     "composite_error",
-    "normalize_composite_error",
     "update_weights",
     "run_round",
 ]
@@ -199,27 +198,20 @@ def normalize_error(e: float) -> float:
     return e / (1.0 - e)
 
 
-def _vote_mass(
+def _weighted_vote(
     prediction_rows: Sequence[np.ndarray], vote_weights: Sequence[float], n: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-instance vote mass for each class, accumulated in hypothesis order."""
+    """Composite labels and class-1 scores of n instances from each
+    hypothesis's predictions. Each hypothesis adds its vote weight to the
+    class it predicts, in hypothesis order; the class with the larger vote
+    mass wins and a tie resolves to 0. The score is the class-1 share of the
+    mass (0.5 when no mass was cast)."""
     mass0 = np.zeros(n)
     mass1 = np.zeros(n)
     for predictions, weight in zip(prediction_rows, vote_weights):
         ones = predictions == 1
         mass1[ones] += weight
         mass0[~ones] += weight
-    return mass0, mass1
-
-
-def _weighted_vote(
-    prediction_rows: Sequence[np.ndarray], vote_weights: Sequence[float], n: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Composite labels and class-1 scores of n instances from each
-    hypothesis's predictions. The class with the larger vote mass wins and a
-    tie resolves to 0; the score is the class-1 share of the mass (0.5 when
-    no mass was cast)."""
-    mass0, mass1 = _vote_mass(prediction_rows, vote_weights, n)
     total = mass0 + mass1
     scores = np.divide(mass1, total, out=np.full(n, 0.5), where=total > 0.0)
     return (mass1 > mass0).astype(np.int64), scores
@@ -233,20 +225,6 @@ def _composite(hypotheses: Sequence[WeakHypothesis], features: np.ndarray) -> tu
     return _weighted_vote(rows, [hyp.vote_weight for hyp in hypotheses], len(features))
 
 
-def composite_vote(hypotheses: Sequence[WeakHypothesis], x) -> tuple[ClassLabel, float]:
-    """Weighted majority vote of the ensemble on one query.
-
-    Each hypothesis adds its vote weight to the class it predicts; the class
-    with the larger total wins and a tied vote resolves to 0. The score is
-    the class-1 share of the total vote mass (0.5 when no mass was cast).
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise DimensionError(f"expected a 1-D query vector, got shape {x.shape}")
-    labels, scores = _composite(hypotheses, x[None, :])
-    return ClassLabel(int(labels[0])), float(scores[0])
-
-
 def composite_error(
     hypotheses: Sequence[WeakHypothesis], features, labels, dist: WeightDistribution
 ) -> float:
@@ -256,10 +234,6 @@ def composite_error(
     _window_size(features, labels, dist)
     composite, _ = _composite(hypotheses, features)
     return _weighted_error(dist, composite, labels)
-
-
-# the composite error E is normalized by the same map as a weak learner's
-normalize_composite_error = normalize_error
 
 
 def update_weights(dist: WeightDistribution, correct_mask, decay: float) -> WeightDistribution:
@@ -350,7 +324,7 @@ def run_round(
             # the ensemble already masters this window; keep weights as-is
             break
         if comp_error < 0.5:
-            dist = update_weights(dist, composite == labels, normalize_composite_error(comp_error))
+            dist = update_weights(dist, composite == labels, normalize_error(comp_error))
         # comp_error >= 0.5: keep the hypothesis but skip the weight update
 
     return accepted, dist
@@ -375,17 +349,14 @@ class LearnPPModel:
     def buffer_size(self) -> int:
         return len(self._buffer)
 
-    def predict(self, x) -> tuple[ClassLabel, float] | tuple[np.ndarray, np.ndarray]:
-        """Composite vote of all retained hypotheses.
+    def predict(self, features) -> tuple[np.ndarray, np.ndarray]:
+        """Composite labels and class-1 scores of an (n, d) feature block.
 
-        A (d,) query returns ``(ClassLabel, score)``; an (n, d) block returns
-        ``(labels, scores)`` arrays, row for row equal to predicting each
-        query on its own. See :func:`composite_vote`.
+        Each hypothesis adds its vote weight to the class it predicts; the
+        larger mass wins, a tie resolves to 0, and the score is the class-1
+        share of the mass. A row's output does not depend on the other rows.
         """
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim == 1:
-            return composite_vote(self.hypotheses, x)
-        return _composite(self.hypotheses, x)
+        return _composite(self.hypotheses, features)
 
     def fit_initial(self, features, labels) -> None:
         """Train one full round on a window of (n, d) features and (n,)

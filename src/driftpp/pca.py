@@ -7,16 +7,14 @@ stable, which holds when the underlying distribution is stationary.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .core import Chunk
 from .errors import DegenerateData, DimensionError
 
-__all__ = ["PcaModel", "pca_fit", "pca_transform", "pca_inverse_transform", "tevr", "write_tevr_csv"]
+__all__ = ["PcaModel", "pca_fit", "pca_transform", "tevr"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,17 +79,6 @@ def pca_transform(model: PcaModel, chunk: Chunk, k: int) -> Chunk:
     return Chunk(chunk.id, scores, chunk.labels)
 
 
-def pca_inverse_transform(model: PcaModel, scores: np.ndarray) -> np.ndarray:
-    """Map (n, k) component scores back to the original feature space."""
-    scores = np.asarray(scores, dtype=np.float64)
-    k = scores.shape[1]
-    if k > model.components.shape[0]:
-        raise DimensionError(
-            f"scores use {k} components but the model kept {model.components.shape[0]}"
-        )
-    return scores @ model.components[:k] + model.mean
-
-
 def tevr(model: PcaModel, k: int) -> float:
     """Total explained variance ratio of the first k components."""
     if not 1 <= k <= model.explained_variance_ratio.size:
@@ -99,15 +86,3 @@ def tevr(model: PcaModel, k: int) -> float:
             f"k must lie in [1, {model.explained_variance_ratio.size}], got {k}"
         )
     return float(model.explained_variance_ratio[:k].sum())
-
-
-def write_tevr_csv(model: PcaModel, path) -> None:
-    """Write one row per component: index, variance ratio, cumulative ratio."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["component", "explained_variance_ratio", "cumulative"])
-        cumulative = 0.0
-        for i, ratio in enumerate(model.explained_variance_ratio, start=1):
-            cumulative += float(ratio)
-            writer.writerow([i, repr(float(ratio)), repr(cumulative)])

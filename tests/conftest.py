@@ -4,7 +4,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from driftpp.core import ClassLabel, PredictionRecord
+from driftpp.core import PredictionRecord
+from driftpp.learnpp import LearnPPConfig, LearnPPModel
 
 
 @pytest.fixture
@@ -14,9 +15,16 @@ def rng() -> np.random.Generator:
 
 def make_records(truths, predictions, scores, chunk_id="c") -> list[PredictionRecord]:
     return [
-        PredictionRecord(chunk_id, i, ClassLabel(int(t)), ClassLabel(int(p)), float(s))
+        PredictionRecord(chunk_id, i, int(t), int(p), float(s))
         for i, (t, p, s) in enumerate(zip(truths, predictions, scores))
     ]
+
+
+def ensemble_model(hypotheses) -> LearnPPModel:
+    """A model whose ensemble is exactly ``hypotheses``."""
+    model = LearnPPModel(LearnPPConfig())
+    model.hypotheses = list(hypotheses)
+    return model
 
 
 def two_cluster_window(n, d, rng, gap=6.0, spread=0.5) -> tuple[np.ndarray, np.ndarray]:

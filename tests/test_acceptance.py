@@ -15,17 +15,15 @@ import pytest
 from driftpp.adaptive import RunConfig, pretrain, process_chunk, reduce_chunk, run_experiment
 from driftpp.core import Chunk
 from driftpp.data import DriftSpec, StreamSpec, generate_stream
-from driftpp.knn import KnnConfig, knn_fit, knn_predict
+from driftpp.knn import KnnConfig, knn_fit, knn_predict_batch
 from driftpp.learnpp import (
     LearnPPConfig,
     LearnPPModel,
     WeakHypothesis,
     WeightDistribution,
     composite_error,
-    composite_vote,
     hypothesis_error,
     init_weights,
-    normalize_composite_error,
     normalize_error,
     run_round,
     update_weights,
@@ -33,7 +31,7 @@ from driftpp.learnpp import (
 from driftpp.metrics import auc
 from driftpp.pca import pca_fit, tevr
 
-from conftest import make_records, two_cluster_window
+from conftest import ensemble_model, make_records, two_cluster_window
 
 
 def emit(capsys, ok, label, detail):
@@ -56,9 +54,9 @@ def fit_on_subset(gen, window, k):
 
 
 def test_equation_conformance(capsys):
-    """hypothesis_error, normalize_error, composite_error,
-    normalize_composite_error, and update_weights against loop-and-sum
-    oracles over 1,000 randomized cases."""
+    """hypothesis_error, normalize_error (of weak-learner and composite
+    errors), composite_error, and update_weights against loop-and-sum oracles
+    over 1,000 randomized cases."""
     gen = np.random.default_rng(101)
     started = time.perf_counter()
     worst = 0.0
@@ -72,7 +70,7 @@ def test_equation_conformance(capsys):
         got = hypothesis_error(model, *window, dist)
         want = 0.0
         for i, (x, y) in enumerate(zip(*window)):
-            label, _ = knn_predict(model, x)
+            label = knn_predict_batch(model, x[None])[0][0]
             if label != y:
                 want += float(dist.weights[i])
         worst = max(worst, abs(got - want))
@@ -87,13 +85,13 @@ def test_equation_conformance(capsys):
         got_comp = composite_error(ensemble, *window, dist)
         want_comp = 0.0
         for i, (x, y) in enumerate(zip(*window)):
-            label, _ = composite_vote(ensemble, x)
+            label = ensemble_model(ensemble).predict(x[None])[0][0]
             if label != y:
                 want_comp += float(dist.weights[i])
         worst = max(worst, abs(got_comp - want_comp))
 
         if 0.0 < got_comp < 0.5:
-            assert normalize_composite_error(got_comp) == got_comp / (1.0 - got_comp)
+            assert normalize_error(got_comp) == got_comp / (1.0 - got_comp)
 
         mask = gen.integers(0, 2, n).astype(bool)
         decay = float(gen.uniform(0.01, 0.99))
@@ -115,7 +113,7 @@ def test_equation_conformance(capsys):
 
 
 def test_vote_oracle(capsys):
-    """composite_vote against exhaustive per-label log-sum argmax for
+    """LearnPPModel.predict, one row at a time, against exhaustive per-label log-sum argmax for
     ensembles of one to five voters, 200 inputs each."""
     gen = np.random.default_rng(202)
     mismatches = 0
@@ -131,12 +129,13 @@ def test_vote_oracle(capsys):
                 x = gen.normal(size=3)
                 sums = {0: 0.0, 1: 0.0}
                 for hyp in ensemble:
-                    label, _ = knn_predict(hyp.model, x)
+                    label = knn_predict_batch(hyp.model, x[None])[0][0]
                     sums[int(label)] += math.log(1.0 / hyp.normalized_error)
                 want_label = 1 if sums[1] > sums[0] else 0
                 total = sums[0] + sums[1]
                 want_score = sums[1] / total if total > 0.0 else 0.5
-                got_label, got_score = composite_vote(ensemble, x)
+                got_labels, got_scores = ensemble_model(ensemble).predict(x[None])
+                got_label, got_score = got_labels[0], got_scores[0]
                 checked += 1
                 if int(got_label) != want_label or abs(got_score - want_score) > 1e-12:
                     mismatches += 1
@@ -146,7 +145,7 @@ def test_vote_oracle(capsys):
 
 
 def test_knn_oracle(capsys):
-    """knn_predict against an exhaustive sorted scan with the same tie
+    """knn_predict_batch, one row at a time, against an exhaustive sorted scan with the same tie
     rules on 100 random datasets."""
     gen = np.random.default_rng(303)
     mismatches = 0
@@ -174,7 +173,8 @@ def test_knn_oracle(capsys):
             top = ranked[: min(k, n)]
             score = sum(int(labels[i]) for _, i in top) / len(top)
             want_label = 1 if score > 0.5 else 0
-            got_label, got_score = knn_predict(model, x)
+            got_labels, got_scores = knn_predict_batch(model, x[None])
+            got_label, got_score = got_labels[0], got_scores[0]
             checked += 1
             if int(got_label) != want_label or abs(got_score - score) > 1e-12:
                 mismatches += 1
@@ -354,7 +354,7 @@ def test_finite_memory_contract(capsys):
     for chunk in chunks[1:]:
         reduced = reduce_chunk(chunk, 3)
         for x, label in zip(reduced.features, reduced.labels):
-            predicted, _ = model.predict(x)
+            predicted = model.predict(x[None])[0][0]
             model.partial_fit(x, label, was_correct=(predicted == label))
             max_hyps = max(max_hyps, len(model.hypotheses))
             max_buffer = max(max_buffer, model.buffer_size)

@@ -198,7 +198,8 @@ def per_instance_records(model, chunk, config):
     reduced = reduce_chunk(chunk, config.pc_count)
     records = []
     for i, (x, label) in enumerate(zip(reduced.features, reduced.labels)):
-        predicted, score = model.predict(x)
+        labels, scores = model.predict(x[None])
+        predicted, score = labels[0], scores[0]
         records.append(PredictionRecord(chunk.id, i, label, predicted, score))
         try:
             model.partial_fit(x, label, was_correct=(predicted == label))

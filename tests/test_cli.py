@@ -5,7 +5,20 @@ import subprocess
 
 import pytest
 
-from driftpp.cli import main
+from driftpp.adaptive import RunConfig
+from driftpp.cli import (
+    _GENERATE_KEYS,
+    _GENERATE_REQUIRED,
+    _RUN_KEYS,
+    _RUN_REQUIRED,
+    _load_config,
+    _parse_run_config,
+    _parse_stream_spec,
+    main,
+)
+from driftpp.data import DriftSpec, StreamSpec
+from driftpp.knn import KnnConfig
+from driftpp.learnpp import LearnPPConfig
 
 
 def write_config(path, **pairs):
@@ -88,6 +101,48 @@ class TestGenerate:
         cfg.write_text("n_chunks\n")
         assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         assert f"{cfg}:1" in capsys.readouterr().err
+
+
+class TestParseConfig:
+    def test_run_config_defaults_come_from_the_dataclasses(self, tmp_path):
+        cfg = write_config(tmp_path / "run.cfg", initial_chunk="a.csv", chunks="b.csv")
+        values = _load_config(cfg, _RUN_KEYS, _RUN_REQUIRED)
+        assert _parse_run_config(values, None) == RunConfig(learnpp=LearnPPConfig())
+
+    def test_generate_config_defaults_come_from_the_dataclasses(self, tmp_path):
+        cfg = write_config(tmp_path / "gen.cfg", n_chunks=3, chunk_size=10, dimensionality=4)
+        values = _load_config(cfg, _GENERATE_KEYS, _GENERATE_REQUIRED)
+        assert _parse_stream_spec(values) == StreamSpec(3, 10, 4)
+
+    def test_set_keys_reach_their_fields(self, tmp_path):
+        cfg = write_config(
+            tmp_path / "run.cfg", initial_chunk="a.csv", chunks="b.csv", pc_count=4,
+            window_size="chunk", max_window_ensembles=2, knn_k=5, knn_p=1.0, seed=7,
+            drift_baseline_window=2,
+        )
+        values = _load_config(cfg, _RUN_KEYS, _RUN_REQUIRED)
+        want = RunConfig(
+            learnpp=LearnPPConfig(max_window_ensembles=2, knn=KnnConfig(k=5, p=1.0), seed=7),
+            pc_count=4,
+            drift_baseline_window=2,
+        )
+        assert _parse_run_config(values, None) == want
+        assert _parse_run_config(values, 3).learnpp.seed == 3
+
+        cfg = write_config(
+            tmp_path / "gen.cfg", n_chunks=3, chunk_size=10, dimensionality=4,
+            drift_kind="gradual", drift_at_chunk=2, drift_gradual_span=3,
+        )
+        values = _load_config(cfg, _GENERATE_KEYS, _GENERATE_REQUIRED)
+        drift = DriftSpec(kind="gradual", at_chunk=2, gradual_span=3)
+        assert _parse_stream_spec(values) == StreamSpec(3, 10, 4, drift=drift)
+
+    def test_unparseable_value_names_line(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("n_chunks = 2\nchunk_size = many\ndimensionality = 3\n")
+        assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert f"{cfg}:2" in err and "chunk_size" in err
 
 
 class TestRun:
@@ -197,6 +252,18 @@ class TestReport:
             {"chunk_id": "c", "index": 0, "truth": 1, "predicted": 1, "score": 0.9}
         )
         path.write_text(good + "\n{oops\n")
+        assert main(["report", str(path)]) == 1
+        assert "line 2" in capsys.readouterr().err
+
+    def test_label_outside_binary_named(self, tmp_path, capsys):
+        path = tmp_path / "records.jsonl"
+        good = json.dumps(
+            {"chunk_id": "c", "index": 0, "truth": 1, "predicted": 1, "score": 0.9}
+        )
+        bad = json.dumps(
+            {"chunk_id": "c", "index": 1, "truth": 2, "predicted": 1, "score": 0.9}
+        )
+        path.write_text(good + "\n" + bad + "\n")
         assert main(["report", str(path)]) == 1
         assert "line 2" in capsys.readouterr().err
 

@@ -1,12 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from driftpp.core import (
     Chunk,
-    ClassLabel,
     PredictionRecord,
-    slice_features,
     standardize_chunk,
     validate_chunk,
 )
@@ -21,9 +18,17 @@ class TestPredictionRecord:
             PredictionRecord("c", 0, 1, 1, -0.1)
 
     def test_labels_coerced(self):
-        rec = PredictionRecord("c", 0, 0, 1, 0.75)
-        assert rec.truth is ClassLabel.NEGATIVE
-        assert rec.predicted is ClassLabel.POSITIVE
+        for value, want in ((0, 0), (True, 1), (np.int64(1), 1), (1.0, 1)):
+            rec = PredictionRecord("c", 0, value, value, 0.75)
+            assert type(rec.truth) is int and rec.truth == want
+            assert type(rec.predicted) is int and rec.predicted == want
+
+    @pytest.mark.parametrize("value", [2, -1, 0.5, "1", None, float("nan")])
+    def test_labels_outside_binary_rejected(self, value):
+        with pytest.raises(ValueError):
+            PredictionRecord("c", 0, value, 1, 0.5)
+        with pytest.raises(ValueError):
+            PredictionRecord("c", 0, 1, value, 0.5)
 
 
 class TestChunk:
@@ -95,45 +100,6 @@ class TestValidateChunk:
             (1, "non-finite feature at column 1"),
             (2, "NaN feature at column 0"),
         ]
-
-
-class TestSliceFeatures:
-    def test_keeps_leading_columns(self):
-        rng = np.random.default_rng(0)
-        chunk = Chunk("c", rng.normal(size=(4, 100)), [0, 1, 0, 1])
-        sliced = slice_features(chunk, 75)
-        assert sliced.dimensionality == 75
-        np.testing.assert_array_equal(
-            sliced.features, chunk.features[:, :75]
-        )
-
-    def test_full_width_is_identity(self):
-        chunk = Chunk("c", np.ones((2, 5)), [0, 1])
-        assert slice_features(chunk, 5) is chunk
-
-    def test_too_wide_raises(self):
-        chunk = Chunk("c", np.ones((2, 3)), [0, 1])
-        with pytest.raises(DimensionError):
-            slice_features(chunk, 4)
-
-    def test_labels_and_order_untouched(self):
-        chunk = Chunk("c", np.arange(12.0).reshape(3, 4), [1, 0, 1])
-        sliced = slice_features(chunk, 2)
-        np.testing.assert_array_equal(sliced.labels, chunk.labels)
-        np.testing.assert_array_equal(sliced.features, chunk.features[:, :2])
-
-    @given(
-        k1=st.integers(min_value=1, max_value=8),
-        k2=st.integers(min_value=1, max_value=8),
-    )
-    def test_prefix_slicing_composes(self, k1, k2):
-        if k2 > k1:
-            k1, k2 = k2, k1
-        rng = np.random.default_rng(7)
-        chunk = Chunk("c", rng.normal(size=(5, 8)), [0, 1, 0, 1, 0])
-        twice = slice_features(slice_features(chunk, k1), k2)
-        once = slice_features(chunk, k2)
-        np.testing.assert_array_equal(twice.features, once.features)
 
 
 class TestStandardizeChunk:

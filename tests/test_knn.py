@@ -2,12 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from driftpp.core import ClassLabel
 from driftpp.errors import DimensionError, EmptyTrainingSet
 from driftpp.knn import (
     KnnConfig,
     knn_fit,
-    knn_predict,
     knn_predict_batch,
     minkowski_distance,
 )
@@ -79,9 +77,9 @@ class TestFit:
 
     def test_single_point_model_predicts_with_it(self):
         model = knn_fit(KnnConfig(k=3), [[1.0, 1.0]], [1])
-        label, score = knn_predict(model, [0.0, 0.0])
-        assert label == ClassLabel.POSITIVE
-        assert score == 1.0
+        labels, scores = knn_predict_batch(model, [[0.0, 0.0]])
+        assert labels[0] == 1
+        assert scores[0] == 1.0
 
     def test_empty_data_raises(self):
         with pytest.raises(EmptyTrainingSet):
@@ -95,32 +93,32 @@ class TestFit:
 class TestPredict:
     def test_two_nearer_class0_points(self):
         model = knn_fit(KnnConfig(k=3), [[0.0, 0.0], [0.0, 1.0], [5.0, 5.0]], [0, 0, 1])
-        label, score = knn_predict(model, [0.0, 0.4])
-        assert label == ClassLabel.NEGATIVE
-        assert score == pytest.approx(1.0 / 3.0)
+        labels, scores = knn_predict_batch(model, [[0.0, 0.4]])
+        assert labels[0] == 0
+        assert scores[0] == pytest.approx(1.0 / 3.0)
 
     def test_unanimous_class1(self):
         model = knn_fit(KnnConfig(k=3), np.zeros((4, 2)) + [[0], [1], [2], [3]], [1, 1, 1, 1])
-        label, score = knn_predict(model, [10.0, 10.0])
-        assert label == ClassLabel.POSITIVE
-        assert score == 1.0
+        labels, scores = knn_predict_batch(model, [[10.0, 10.0]])
+        assert labels[0] == 1
+        assert scores[0] == 1.0
 
     def test_tied_vote_resolves_to_zero(self):
         model = knn_fit(KnnConfig(k=2), [[0.0], [1.0]], [0, 1])
-        label, score = knn_predict(model, [0.5])
-        assert score == 0.5
-        assert label == ClassLabel.NEGATIVE
+        labels, scores = knn_predict_batch(model, [[0.5]])
+        assert scores[0] == 0.5
+        assert labels[0] == 0
 
     def test_distance_tie_prefers_lower_stored_index(self):
         # both stored points are equidistant from the query; k=1 must take index 0
         model = knn_fit(KnnConfig(k=1), [[1.0, 0.0], [-1.0, 0.0]], [1, 0])
-        label, _ = knn_predict(model, [0.0, 0.0])
-        assert label == ClassLabel.POSITIVE
+        labels, _ = knn_predict_batch(model, [[0.0, 0.0]])
+        assert labels[0] == 1
 
     def test_dimension_mismatch(self):
         model = knn_fit(KnnConfig(), [[1.0, 2.0]], [0])
         with pytest.raises(DimensionError):
-            knn_predict(model, [1.0, 2.0, 3.0])
+            knn_predict_batch(model, [[1.0, 2.0, 3.0]])
 
     def test_training_points_self_classify_with_k1(self):
         rng = np.random.default_rng(11)
@@ -149,9 +147,9 @@ class TestPredict:
         queries = rng.normal(size=(10, 4))
         batch_labels, batch_scores = knn_predict_batch(model, queries)
         for i, q in enumerate(queries):
-            label, score = knn_predict(model, q)
-            assert int(label) == batch_labels[i]
-            assert score == batch_scores[i]
+            labels, scores = knn_predict_batch(model, q[None])
+            assert int(labels[0]) == batch_labels[i]
+            assert scores[0] == batch_scores[i]
 
     def test_permutation_invariant_without_ties(self):
         rng = np.random.default_rng(21)

@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from driftpp.core import ClassLabel
 from driftpp.errors import (
     DimensionError,
     EmptyEnsemble,
     EmptyWindow,
     RoundFailed,
 )
-from driftpp.knn import KnnConfig, knn_fit, knn_predict
+from driftpp.knn import KnnConfig, knn_fit, knn_predict_batch
 from driftpp.learnpp import (
     BETA_FLOOR,
     LearnPPConfig,
@@ -19,17 +18,15 @@ from driftpp.learnpp import (
     WeakHypothesis,
     WeightDistribution,
     composite_error,
-    composite_vote,
     hypothesis_error,
     init_weights,
-    normalize_composite_error,
     normalize_error,
     run_round,
     sample_training_subset,
     update_weights,
 )
 
-from conftest import two_cluster_window
+from conftest import ensemble_model, two_cluster_window
 
 
 def random_hypothesis(rng, n_points=8, d=3, window_ordinal=0):
@@ -142,7 +139,7 @@ class TestErrors:
         dist = WeightDistribution.normalized(rng.uniform(0.1, 1.0, 50))
         want = 0.0
         for i, (x, y) in enumerate(zip(rows, labels)):
-            label, _ = knn_predict(model, x)
+            label = knn_predict_batch(model, x[None])[0][0]
             if label != y:
                 want += dist.weights[i]
         assert hypothesis_error(model, rows, labels, dist) == pytest.approx(want, abs=1e-12)
@@ -155,18 +152,19 @@ class TestErrors:
 
     @pytest.mark.parametrize(
         "error,expected",
-        [(0.25, 1.0 / 3.0), (0.1, 1.0 / 9.0), (0.4999, 0.4999 / 0.5001)],
+        [
+            (0.25, 1.0 / 3.0),
+            (0.1, 1.0 / 9.0),
+            (0.4999, 0.4999 / 0.5001),
+            (0.2, 0.25),
+            (1.0 / 3.0, 0.5),
+            (0.01, 1.0 / 99.0),
+        ],
     )
     def test_normalize_error_values(self, error, expected):
         got = normalize_error(error)
         assert got == pytest.approx(expected)
         assert 0.0 < got < 1.0
-
-    @pytest.mark.parametrize(
-        "error,expected", [(0.2, 0.25), (1.0 / 3.0, 0.5), (0.01, 1.0 / 99.0)]
-    )
-    def test_normalize_composite_error_values(self, error, expected):
-        assert normalize_composite_error(error) == pytest.approx(expected)
 
 
 class TestCompositeVote:
@@ -175,20 +173,20 @@ class TestCompositeVote:
         pos = knn_fit(KnnConfig(k=1), [[0.0]], [1])
         neg = knn_fit(KnnConfig(k=1), [[0.0]], [0])
         ensemble = [WeakHypothesis(pos, 0.2, 0), WeakHypothesis(neg, 0.5, 0)]
-        label, score = composite_vote(ensemble, [0.0])
-        assert label == ClassLabel.POSITIVE
-        assert score == pytest.approx(math.log(5) / (math.log(5) + math.log(2)))
+        labels, scores = ensemble_model(ensemble).predict([[0.0]])
+        assert labels[0] == 1
+        assert scores[0] == pytest.approx(math.log(5) / (math.log(5) + math.log(2)))
 
     def test_unanimous_zero(self):
         neg = knn_fit(KnnConfig(k=1), [[0.0]], [0])
         ensemble = [WeakHypothesis(neg, 0.3, 0), WeakHypothesis(neg, 0.6, 0)]
-        label, score = composite_vote(ensemble, [0.0])
-        assert label == ClassLabel.NEGATIVE
-        assert score == 0.0
+        labels, scores = ensemble_model(ensemble).predict([[0.0]])
+        assert labels[0] == 0
+        assert scores[0] == 0.0
 
     def test_empty_ensemble(self):
         with pytest.raises(EmptyEnsemble):
-            composite_vote([], [0.0])
+            ensemble_model([]).predict([[0.0]])
 
     def test_matches_exhaustive_oracle(self, rng):
         for _ in range(20):
@@ -197,10 +195,11 @@ class TestCompositeVote:
                 x = rng.normal(size=3)
                 sums = {0: 0.0, 1: 0.0}
                 for hyp in ensemble:
-                    label, _ = knn_predict(hyp.model, x)
+                    label = knn_predict_batch(hyp.model, x[None])[0][0]
                     sums[int(label)] += math.log(1.0 / hyp.normalized_error)
                 want = 1 if sums[1] > sums[0] else 0
-                got, score = composite_vote(ensemble, x)
+                labels, scores = ensemble_model(ensemble).predict(x[None])
+                got, score = labels[0], scores[0]
                 assert int(got) == want
                 total = sums[0] + sums[1]
                 assert score == pytest.approx(sums[1] / total if total else 0.5)
@@ -215,7 +214,7 @@ class TestCompositeVote:
         ]
         for _ in range(30):
             x = rng.normal(size=3)
-            assert composite_vote(ensemble, x)[0] == composite_vote(scaled, x)[0]
+            assert ensemble_model(ensemble).predict(x[None])[0][0] == ensemble_model(scaled).predict(x[None])[0][0]
 
 
 class TestCompositeError:
@@ -239,7 +238,7 @@ class TestCompositeError:
         dist = WeightDistribution.normalized(rng.uniform(0.1, 1.0, 30))
         want = 0.0
         for i, (x, y) in enumerate(zip(rows, labels)):
-            label, _ = composite_vote(ensemble, x)
+            label = ensemble_model(ensemble).predict(x[None])[0][0]
             if label != y:
                 want += dist.weights[i]
         got = composite_error(ensemble, rows, labels, dist)
@@ -367,7 +366,13 @@ class TestModel:
     def test_predict_before_training_raises(self):
         model = LearnPPModel(LearnPPConfig())
         with pytest.raises(EmptyEnsemble):
-            model.predict([0.0, 0.0])
+            model.predict([[0.0, 0.0]])
+
+    def test_predict_rejects_a_single_row(self, rng):
+        model = LearnPPModel(LearnPPConfig(seed=0))
+        model.fit_initial(*two_cluster_window(20, 2, rng))
+        with pytest.raises(DimensionError):
+            model.predict(np.zeros(2))
 
     def test_single_hypothesis_predict_equals_knn(self, rng):
         window = two_cluster_window(20, 2, rng)
@@ -377,8 +382,8 @@ class TestModel:
         assert len(model.hypotheses) == 1
         for _ in range(10):
             x = rng.normal(size=2) * 3.0
-            want, _ = knn_predict(model.hypotheses[0].model, x)
-            got, _ = model.predict(x)
+            want = knn_predict_batch(model.hypotheses[0].model, x[None])[0][0]
+            got = model.predict(x[None])[0][0]
             assert got == want
 
     def test_training_point_prediction_matches_its_label(self, rng):
@@ -386,7 +391,7 @@ class TestModel:
         model = LearnPPModel(LearnPPConfig(seed=0))
         model.fit_initial(*window)
         hits = sum(
-            model.predict(x)[0] == label for x, label in zip(*window)
+            model.predict(x[None])[0][0] == label for x, label in zip(*window)
         )
         assert hits == len(window[1])
 

@@ -5,10 +5,8 @@ from driftpp.core import Chunk
 from driftpp.errors import DegenerateData, DimensionError
 from driftpp.pca import (
     pca_fit,
-    pca_inverse_transform,
     pca_transform,
     tevr,
-    write_tevr_csv,
 )
 
 
@@ -110,7 +108,7 @@ class TestTransform:
         chunk = Chunk("x", rows, np.zeros(40, int))
         basis = pca_fit(chunk, 6)
         reduced = pca_transform(basis, chunk, 6)
-        restored = pca_inverse_transform(basis, reduced.features)
+        restored = reduced.features @ basis.components + basis.mean
         np.testing.assert_allclose(restored, rows, atol=1e-8)
 
     def test_rank_one_single_component_preserves_geometry(self):
@@ -174,20 +172,3 @@ class TestTevr:
         with pytest.raises(DimensionError):
             tevr(basis, k)
 
-
-class TestTevrCsv:
-    def test_layout(self, rng, tmp_path):
-        rows = rng.normal(size=(40, 3))
-        basis = pca_fit(Chunk("x", rows, np.zeros(40, int)), 3)
-        path = tmp_path / "tevr.csv"
-        write_tevr_csv(basis, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "component,explained_variance_ratio,cumulative"
-        assert len(lines) == 4
-        running = 0.0
-        for idx, line in enumerate(lines[1:], start=1):
-            component, ratio, cumulative = line.split(",")
-            running += float(ratio)
-            assert int(component) == idx
-            assert float(cumulative) == pytest.approx(running, abs=1e-12)
-        assert running == pytest.approx(1.0, abs=1e-9)
