@@ -232,19 +232,18 @@ def cmd_run(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     records_path = out_dir / "records.jsonl"
     with records_path.open("w", encoding="utf-8", newline="\n") as records_file:
+        quoted_ids: dict[str, str] = {}
 
         def sink(record: PredictionRecord) -> None:
+            # the line json.dumps would write for the record's fields: the
+            # labels are plain ints and the score a float in [0, 1], whose
+            # repr is its JSON form
+            chunk_id = quoted_ids.get(record.chunk_id)
+            if chunk_id is None:
+                chunk_id = quoted_ids[record.chunk_id] = json.dumps(record.chunk_id)
             records_file.write(
-                json.dumps(
-                    {
-                        "chunk_id": record.chunk_id,
-                        "index": record.index,
-                        "truth": record.truth,
-                        "predicted": record.predicted,
-                        "score": record.score,
-                    }
-                )
-                + "\n"
+                f'{{"chunk_id": {chunk_id}, "index": {record.index}, "truth": {record.truth}, '
+                f'"predicted": {record.predicted}, "score": {record.score!r}}}\n'
             )
 
         reports = run_experiment(initial, chunks, config, record_sink=sink)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -92,6 +93,48 @@ def read_chunk_csv(path, has_header: bool = True) -> Chunk:
     naming the offending 1-based row.
     """
     path = Path(path)
+    table = _load_table(path, has_header)
+    features, labels = table if table is not None else _parse_rows(path, has_header)
+    chunk = Chunk(path.stem, features, labels)
+    result = validate_chunk(chunk)
+    if not result.ok:
+        first = result.violations[0]
+        raise ChunkFormatError(
+            f"{path}: row {first.index + (2 if has_header else 1)}: {first.reason}"
+        )
+    return chunk
+
+
+def _load_table(path: Path, has_header: bool) -> tuple[np.ndarray, np.ndarray] | None:
+    """(features, labels) of a well-formed file with at least one row, parsed
+    in one ``np.loadtxt`` call, or None for any file it does not take whole.
+
+    None sends the file to the row loop, which names the offending row of a
+    malformed file and also takes cells that ``float()`` parses and
+    ``np.loadtxt`` does not, such as ``1_0`` or non-ASCII digits.
+    """
+    with path.open("r", encoding="utf-8", newline="") as fh:
+        # the header goes through the csv module, so a quoted comma or
+        # newline in a column name counts as the row loop counts it
+        width = len(next(csv.reader(fh), [])) if has_header else None
+        try:
+            with warnings.catch_warnings():
+                # a file with no data rows is the loop's to judge
+                warnings.simplefilter("ignore", UserWarning)
+                table = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"', ndmin=2)
+        except ValueError:
+            return None
+    if table.size == 0 or table.shape[1] < 2 or width not in (None, table.shape[1]):
+        return None
+    labels = table[:, -1]
+    if not ((labels == 0.0) | (labels == 1.0)).all():
+        return None
+    return table[:, :-1], labels
+
+
+def _parse_rows(path: Path, has_header: bool) -> tuple[np.ndarray, list[int]]:
+    """(features, labels) of a file parsed cell by cell with ``float()``,
+    raising on the first malformed row."""
     features: list[list[float]] = []
     labels: list[int] = []
     width: int | None = None
@@ -135,14 +178,7 @@ def read_chunk_csv(path, has_header: bool = True) -> Chunk:
             labels.append(int(label_value))
     if width is None:
         raise ChunkFormatError(f"{path}: empty file with no header to infer dimensionality")
-    chunk = Chunk(path.stem, np.array(features, dtype=np.float64).reshape(len(features), width - 1), labels)
-    result = validate_chunk(chunk)
-    if not result.ok:
-        first = result.violations[0]
-        raise ChunkFormatError(
-            f"{path}: row {first.index + (2 if has_header else 1)}: {first.reason}"
-        )
-    return chunk
+    return np.array(features, dtype=np.float64).reshape(len(features), width - 1), labels
 
 
 def write_chunk_csv(chunk: Chunk, path, header: bool = True) -> None:

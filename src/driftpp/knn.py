@@ -8,9 +8,11 @@ The neighbors of a query are the first k stored points in (distance, stored
 index) order, so distance ties at the neighborhood boundary go to the lower
 stored-point index and results are reproducible regardless of query
 batching. For the Euclidean metric, the squared distance in matrix-product
-form shortlists the points that can be among the k nearest, and only those
-get their exact distance. Other metrics, and query blocks whose shortlist
-would be no smaller than the model, scan every stored point.
+form shortlists the points that can be among the k nearest. A row whose
+shortlist holds exactly k points is scored from their labels directly;
+only rows tied at the k-th distance get exact distances and the re-rank.
+Other metrics, non-finite inputs, and tied rows whose shortlist would be no
+smaller than the model scan every stored point.
 """
 from __future__ import annotations
 
@@ -26,6 +28,7 @@ __all__ = ["KnnConfig", "KnnModel", "minkowski_distance", "knn_fit", "knn_predic
 _BLOCK_CELLS = 2_000_000
 
 _EPS = np.finfo(np.float64).eps
+_TINY = np.finfo(np.float64).smallest_subnormal
 
 
 @dataclass(frozen=True)
@@ -108,26 +111,48 @@ def _first_k(dist: np.ndarray, k: int) -> np.ndarray:
     return chosen
 
 
-def _euclidean_shortlist(points: np.ndarray, block: np.ndarray, k: int) -> np.ndarray | None:
-    """Indices of the k nearest points (p=2) for each query row, shape
-    (n_rows, k), or None when the shortlist would not be smaller than the
-    model (or the inputs are not finite), so that a full scan is no dearer.
+def _scan(points: np.ndarray, block: np.ndarray, k: int, p: float) -> np.ndarray:
+    """Indices of the k nearest points of each query row by a full scan,
+    shape (n_rows, k)."""
+    return np.nonzero(_first_k(_pairwise(points, block, p), k))[1].reshape(-1, k)
 
-    Rounding bound. Let u = eps/2 and R = |q| + max|x|, which bounds the
-    true distance D as well as |q|^2, |x|^2 and 2|q.x|. The matrix-product
-    value g = |q|^2 + |x|^2 - 2 q.x carries at most gamma_d = d*u/(1 - d*u)
-    relative error in each of its three sums of non-negative terms, plus
-    two roundings when they are combined, so |g - D^2| <= gamma_{d+2} R^2.
-    The exact path rounds the difference, its square and a d-term sum, so
-    its squared distance s obeys the same bound. If g_k is the k-th smallest
-    g, k points have s <= g_k + 2 gamma_{d+2} R^2, so the k-th smallest s
-    is no larger. After the square root a point ties the k-th distance only
-    if its s is at most (1+u)^2/(1-u)^2 times the k-th, an excess under
-    5u R^2. Every true neighbor thus has
-    g <= g_k + 4 gamma_{d+2} R^2 + 5u R^2, about (4d + 13)u R^2 above g_k.
-    The shortlist keeps g <= g_k + 4(d + 8) eps R^2 = g_k + (8d + 64)u R^2,
-    about twice that, which also covers the rounding of R and of the
-    threshold itself.
+
+def _euclidean_positives(
+    points: np.ndarray, positive: np.ndarray, block: np.ndarray, k: int
+) -> np.ndarray | None:
+    """Class-1 count among the k nearest points (p=2) of each query row, or
+    None when the inputs are not finite, so that a full scan decides.
+
+    The shortlist of a row is every point whose matrix-product value
+    g = |x|^2 - 2 q.x lies within a rounding margin of the row's k-th
+    smallest g. The row-constant |q|^2 is left out of g: it does not change
+    the order of a row. The shortlist is certified to hold all k true
+    neighbors, so a row with exactly k shortlisted points has them as its
+    neighbors and needs only their class-1 count. Only rows with more, that
+    is with points tied or nearly tied at the k-th distance, get exact
+    distances and the (distance, index) re-rank.
+
+    Rounding bound. Let u = eps/2, gamma_n = n*u/(1 - n*u) and
+    R = |q| + max|x|, so that R^2 bounds D^2 and |x|^2 + 2|q||x|. Scaling
+    by -2 is exact, so the matrix product and |x|^2 are two sums of d terms,
+    each within gamma_d of the sum of its terms' magnitudes, and adding them
+    rounds once more: g is within
+    gamma_d (|x|^2 + 2|q||x|) + u(1 + gamma_d) R^2 <= gamma_{d+1} R^2
+    of D^2 - |q|^2. That is no more than the gamma_{d+2} R^2 bound of the
+    full |q|^2 + |x|^2 - 2 q.x, and the exact path rounds the difference,
+    its square and a d-term sum, so its squared distance s is within
+    gamma_{d+2} R^2 of D^2. If g_k is the k-th smallest g, k points have
+    s <= g_k + |q|^2 + 2 gamma_{d+2} R^2, so the k-th smallest s is no
+    larger. After the square root a point ties the k-th distance only if its
+    s is at most (1+u)^2/(1-u)^2 times the k-th, an excess under 5u R^2.
+    Every true neighbor thus has g <= g_k + 4 gamma_{d+2} R^2 + 5u R^2,
+    about (4d + 13)u R^2 above g_k; |q|^2 cancels. The shortlist keeps
+    g <= g_k + 4(d + 8) eps R^2 = g_k + (8d + 64)u R^2, about twice that,
+    which also covers the rounding of R and of the threshold itself.
+    A product that underflows breaks the relative bounds: it may then be
+    off by up to eta/2 absolute, eta the smallest subnormal, so g gains at
+    most d*eta and s at most d*eta/2. The margin adds 4(d + 8) eta, which
+    covers four times their sum.
     """
     n_p, d = points.shape
     sq_points = np.einsum("ij,ij->i", points, points)
@@ -136,13 +161,28 @@ def _euclidean_shortlist(points: np.ndarray, block: np.ndarray, k: int) -> np.nd
     # every term of g is at most scale in magnitude; this also rejects NaN
     if not np.isfinite(2.0 * scale).all():
         return None
-    gram = sq_block[:, None] + sq_points[None, :] - 2.0 * (block @ points.T)
+    gram = block @ (points.T * -2.0)
+    gram += sq_points
     kth = np.partition(gram, k - 1, axis=1)[:, k - 1]
-    keep = gram <= (kth + 4.0 * (d + 8) * _EPS * scale)[:, None]
-    counts = keep.sum(axis=1)
+    keep = gram <= (kth + 4.0 * (d + 8) * (_EPS * scale + _TINY))[:, None]
+    counts = np.count_nonzero(keep, axis=1)
+    positives = np.count_nonzero(keep[:, positive], axis=1)
+    wide = np.flatnonzero(counts > k)
+    if wide.size:
+        nearest = _rerank(points, block[wide], keep[wide], counts[wide], k)
+        positives[wide] = positive[nearest].sum(axis=1)
+    return positives
+
+
+def _rerank(
+    points: np.ndarray, block: np.ndarray, keep: np.ndarray, counts: np.ndarray, k: int
+) -> np.ndarray:
+    """Indices of the first k shortlisted points of each row in (exact
+    distance, index) order, shape (n_rows, k). Rows whose shortlist would
+    not be smaller than the model take the full scan, which is no dearer."""
     width = int(counts.max())
-    if width >= n_p:
-        return None
+    if width >= len(points):
+        return _scan(points, block, k, 2.0)
     rows, cols = np.nonzero(keep)
     slots = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
     candidates = np.zeros((len(block), width), dtype=np.intp)
@@ -182,15 +222,16 @@ def knn_predict_batch(model: KnnModel, queries: np.ndarray) -> tuple[np.ndarray,
             f"query shape {queries.shape} does not match model dimensionality {model.dimensionality}"
         )
     points, p = model.features, model.config.p
+    positive = model.labels == 1
     k = min(model.config.k, model.n_points)
     positives = np.empty(len(queries), dtype=np.int64)
     step = max(1, _BLOCK_CELLS // max(1, points.size))
     for start in range(0, len(queries), step):
         block = queries[start : start + step]
-        nearest = _euclidean_shortlist(points, block, k) if p == 2.0 else None
-        if nearest is None:
-            nearest = np.nonzero(_first_k(_pairwise(points, block, p), k))[1].reshape(-1, k)
-        positives[start : start + step] = model.labels[nearest].sum(axis=1)
+        counts = _euclidean_positives(points, positive, block, k) if p == 2.0 else None
+        if counts is None:
+            counts = positive[_scan(points, block, k, p)].sum(axis=1)
+        positives[start : start + step] = counts
     scores = positives / k
     labels = (scores > 0.5).astype(np.int64)
     return labels, scores

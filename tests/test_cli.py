@@ -5,6 +5,7 @@ import subprocess
 
 import pytest
 
+from driftpp import cli
 from driftpp.adaptive import RunConfig
 from driftpp.cli import (
     _GENERATE_KEYS,
@@ -16,6 +17,7 @@ from driftpp.cli import (
     _parse_stream_spec,
     main,
 )
+from driftpp.core import PredictionRecord
 from driftpp.data import DriftSpec, StreamSpec
 from driftpp.knn import KnnConfig
 from driftpp.learnpp import LearnPPConfig
@@ -188,6 +190,29 @@ class TestRun:
         out = tmp_path / "globbed"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
         assert len((out / "reports.csv").read_text().splitlines()) == 5
+
+    def test_record_lines_are_json_dumps(self, tmp_path, monkeypatch):
+        ids = ['caf\u00e9 "\u0394" \\ chunk', "chunk_001"]
+        records = [
+            PredictionRecord(ids[i % 2], i, i % 2, 1 - i % 2, score)
+            for i, score in enumerate([0.0, 1.0, 1 / 3, 5e-324])
+        ]
+
+        def replay(initial, chunks, config, record_sink):
+            for record in records:
+                record_sink(record)
+            return []
+
+        monkeypatch.setattr(cli, "run_experiment", replay)
+        stream = generate_stationary(tmp_path)
+        out = tmp_path / "results"
+        assert main(["run", "--config", str(run_config_for(tmp_path, stream)), "--out", str(out)]) == 0
+        want = "".join(
+            json.dumps({"chunk_id": r.chunk_id, "index": r.index, "truth": r.truth,
+                        "predicted": r.predicted, "score": r.score}) + "\n"
+            for r in records
+        )
+        assert (out / "records.jsonl").read_text(encoding="utf-8") == want
 
     def test_rerun_outputs_byte_identical(self, tmp_path):
         stream = generate_stationary(tmp_path)

@@ -5,6 +5,8 @@ from driftpp.core import Chunk
 from driftpp.data import (
     DriftSpec,
     StreamSpec,
+    _load_table,
+    _parse_rows,
     generate_stream,
     read_chunk_csv,
     write_chunk_csv,
@@ -106,6 +108,52 @@ class TestReadChunkCsv:
         path = tmp_path / "x.csv"
         path.write_text("f0,label\n1.0,0\n\n2.0,1\n")
         assert len(read_chunk_csv(path)) == 2
+
+
+class TestReadPathParity:
+    """read_chunk_csv takes a well-formed file whole with np.loadtxt and
+    sends any other file to the row loop; a file either path reads gives
+    the loop's chunk."""
+
+    @pytest.mark.parametrize(
+        "text, has_header, whole",
+        [
+            ('"f,0",f1,label\n"1.5",2.0,"1"\n-3," 4e-1 ",0\n', True, True),
+            ("f0,label\n1.0,0\n\n\n2.0,1\n\n", True, True),
+            ("f0,label\r\n1.5,0\r\n-0.25,1\r\n", True, True),
+            ("1.0,2.0,1\n3.0,4.0,0\n", False, True),
+            ("f0,f1,label\n", True, False),
+            ("f0,label\n1_0,1\n2.5,0\n", True, False),
+            ("f0,label\n\u0661\u0662,1\n", True, False),
+        ],
+        ids=["quoted", "blank-lines", "crlf", "headerless", "header-only", "underscore", "non-ascii-digits"],
+    )
+    def test_same_chunk_as_row_loop(self, tmp_path, text, has_header, whole):
+        path = tmp_path / "x.csv"
+        path.write_bytes(text.encode("utf-8"))
+        features, labels = _parse_rows(path, has_header)
+        table = _load_table(path, has_header)
+        assert (table is not None) == whole
+        if table is not None:
+            np.testing.assert_array_equal(table[0], features)
+            np.testing.assert_array_equal(table[1], labels)
+        chunk = read_chunk_csv(path, has_header=has_header)
+        assert chunk.features.shape == features.shape
+        np.testing.assert_array_equal(chunk.features, features)
+        np.testing.assert_array_equal(chunk.labels, labels)
+
+    @pytest.mark.parametrize("blank", ["   ", "\t", " \t "])
+    def test_whitespace_only_line_is_a_ragged_row(self, tmp_path, blank):
+        path = tmp_path / "x.csv"
+        path.write_text(f"f0,label\n1.0,0\n{blank}\n2.0,1\n")
+        with pytest.raises(RaggedRowError, match="row 3 has 1 columns, expected 2"):
+            read_chunk_csv(path)
+
+    def test_header_wider_than_rows_is_a_ragged_row(self, tmp_path):
+        path = tmp_path / "x.csv"
+        path.write_text("f0,f1,label\n1.0,0\n2.0,1\n")
+        with pytest.raises(RaggedRowError, match="row 2 has 2 columns, expected 3"):
+            read_chunk_csv(path)
 
 
 class TestWriteChunkCsv:

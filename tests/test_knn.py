@@ -194,6 +194,41 @@ class TestNeighborSearchExactness:
         model = knn_fit(KnnConfig(k=k), rows, gen.integers(0, 2, 500))
         self.assert_matches_oracle(model, gen.integers(0, 4, (40, 6)).astype(float))
 
+    @pytest.mark.parametrize("scale", [1e-161, 1e-162])
+    def test_underflowing_squares(self, scale):
+        # squared coordinates are subnormal or zero here, where rounding
+        # errors are absolute rather than relative
+        gen = np.random.default_rng(3)
+        rows = scale * gen.normal(size=(200, 5))
+        model = knn_fit(KnnConfig(k=3), rows, gen.integers(0, 2, 200))
+        self.assert_matches_oracle(model, scale * gen.normal(size=(100, 5)))
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_block_mixing_tied_and_untied_rows(self, k):
+        # grid queries tie exactly at the k-th distance, grid queries moved
+        # by 1e-11 tie only within the rounding margin, and uniform queries
+        # mostly have exactly k shortlisted points; all three share one
+        # block. At an offset of 100 the matrix-product values round by
+        # about 1e-10, far more than the exact distances do
+        gen = np.random.default_rng(60 + k)
+        rows = 100.0 + gen.integers(0, 3, (400, 5))
+        model = knn_fit(KnnConfig(k=k), rows, gen.integers(0, 2, 400))
+        grid = 100.0 + gen.integers(0, 3, (40, 5))
+        queries = gen.permutation(np.vstack([
+            grid[:20], grid[20:] + gen.normal(scale=1e-11, size=(20, 5)), gen.uniform(100, 102, (20, 5)),
+        ]))
+        kth_ties = []
+        for q in queries:
+            dists = sorted(minkowski_distance(row, q) for row in rows)
+            kth_ties.append(dists[k - 1] == dists[k])
+        assert any(kth_ties) and not all(kth_ties)
+        self.assert_matches_oracle(model, queries)
+        labels, scores = knn_predict_batch(model, queries)
+        for i, q in enumerate(queries):
+            one_labels, one_scores = knn_predict_batch(model, q[None])
+            assert one_labels[0] == labels[i]
+            assert one_scores[0] == scores[i]
+
     @pytest.mark.parametrize("p", [1.0, 3.0])
     def test_full_scan_metrics(self, p):
         gen = np.random.default_rng(int(p))
