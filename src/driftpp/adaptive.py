@@ -6,9 +6,9 @@ never leak information from the model updates it triggers. Each chunk is
 reduced to a fixed number of principal components (fit on that chunk),
 standardized, evaluated, and then folded into the ensemble. The ensemble
 only changes when its buffer flushes into a training round, so the
-instances between two flushes are predicted as one block and then recorded
-and absorbed one at a time; with the default chunk-aligned windows the whole
-chunk is one block and becomes one training window at its end.
+instances between two flushes are predicted, recorded and absorbed as one
+block; with the default chunk-aligned windows the whole chunk is one block
+and becomes one training window at its end.
 
 A chunk report carries F1, AUC, miss rate, and raw counts, plus a drift
 alarm: the alarm fires when the chunk's F1 falls more than a configured drop
@@ -174,6 +174,12 @@ def _invalid_note(chunk: Chunk) -> str | None:
     )
 
 
+def _records(chunk_id: str, truth, predicted, scores, start: int = 0) -> list[PredictionRecord]:
+    """Records of a block of instances, the first at arrival position ``start``."""
+    rows = zip(truth.tolist(), predicted.tolist(), scores.tolist())
+    return [PredictionRecord(chunk_id, i, *row) for i, row in enumerate(rows, start)]
+
+
 def pretrain(
     initial: Chunk, config: RunConfig
 ) -> tuple[LearnPPModel, ChunkReport, list[PredictionRecord]]:
@@ -200,12 +206,7 @@ def pretrain(
     except RoundFailed as exc:
         raise PretrainFailed(f"initial training round failed: {exc}") from exc
     predicted, scores = model.predict(reduced.features)
-    records = [
-        PredictionRecord(initial.id, i, truth, guess, score)
-        for i, (truth, guess, score) in enumerate(
-            zip(reduced.labels.tolist(), predicted.tolist(), scores.tolist())
-        )
-    ]
+    records = _records(initial.id, reduced.labels, predicted, scores)
     report = chunk_report(initial.id, records, history=(), config=config)
     return model, report, records
 
@@ -219,11 +220,12 @@ def process_chunk(
     """Evaluate and absorb one chunk in arrival order.
 
     Each instance is predicted, recorded and compared against the revealed
-    truth before the model absorbs it. Predictions are made one segment at
-    a time: the instances up to the next buffer flush (the whole chunk with
-    chunk-aligned windows), during which the ensemble cannot change. With
-    chunk-aligned windows the buffered chunk is flushed into one training
-    round at the end. ``history`` supplies the drift-alarm baseline.
+    truth before the model absorbs it. The chunk goes one segment at a
+    time: the instances up to the next buffer flush (the whole chunk with
+    chunk-aligned windows), during which the ensemble cannot change, are
+    predicted as one block and absorbed as one block. With chunk-aligned
+    windows the buffered chunk is flushed into one training round at the
+    end. ``history`` supplies the drift-alarm baseline.
 
     A failed training round stops the chunk; the report then covers the
     instances processed so far and carries the failure note, and the model
@@ -246,28 +248,22 @@ def process_chunk(
         note = f"chunk {chunk.id} cannot be reduced: {exc}"
         logger.error("%s", note)
         return chunk_report(chunk.id, [], history, config, error=note), []
-    features, labels = reduced.features, reduced.labels.tolist()
-    window_size = model.config.window_size
+    features, labels = reduced.features, reduced.labels
     records: list[PredictionRecord] = []
     error_note: str | None = None
     start = 0
     while start < len(labels) and error_note is None:
-        # a buffer at the window size (a failed round kept it) flushes on
-        # the next instance
-        stop = len(labels)
-        if window_size is not None:
-            stop = min(stop, start + max(1, window_size - model.buffer_size))
+        stop = min(len(labels), start + (model.rows_until_flush or len(labels)))
         predicted, scores = model.predict(features[start:stop])
-        for i, guess, score in zip(range(start, stop), predicted.tolist(), scores.tolist()):
-            records.append(PredictionRecord(chunk.id, i, labels[i], guess, score))
-            try:
-                model.partial_fit(features[i], labels[i], was_correct=(guess == labels[i]))
-            except RoundFailed as exc:
-                error_note = str(exc)
-                logger.error("chunk %s: training round failed (%s)", chunk.id, exc)
-                break
+        truth = labels[start:stop]
+        records += _records(chunk.id, truth, predicted, scores, start)
+        try:
+            model.partial_fit(features[start:stop], truth, predicted == truth)
+        except RoundFailed as exc:
+            error_note = str(exc)
+            logger.error("chunk %s: training round failed (%s)", chunk.id, exc)
         start = stop
-    if error_note is None and window_size is None:
+    if error_note is None and model.config.window_size is None:
         try:
             model.flush_window()
         except RoundFailed as exc:

@@ -15,6 +15,8 @@ import json
 import logging
 import os
 import sys
+from collections import Counter
+from contextlib import contextmanager
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -122,6 +124,16 @@ def _fields(cls, values: dict, prefix: str = "") -> dict:
     }
 
 
+@contextmanager
+def _checked_values(source):
+    """Re-raise a config dataclass's ValueError as a ConfigError that
+    names where the values came from."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{source}: {exc}") from None
+
+
 def _parse_stream_spec(values: dict) -> StreamSpec:
     drift = DriftSpec(**_fields(DriftSpec, values, "drift_"))
     return StreamSpec(**_fields(StreamSpec, values), drift=drift)
@@ -192,7 +204,8 @@ def _print_report_table(rows: list[list[str]]) -> None:
 def cmd_generate(args: argparse.Namespace) -> int:
     config_path = Path(args.config)
     values = _load_config(config_path, _GENERATE_KEYS, _GENERATE_REQUIRED)
-    spec = _parse_stream_spec(values)
+    with _checked_values(config_path):
+        spec = _parse_stream_spec(values)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     chunks = generate_stream(spec)
@@ -211,7 +224,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
 def cmd_run(args: argparse.Namespace) -> int:
     config_path = Path(args.config)
     values = _load_config(config_path, _RUN_KEYS, _RUN_REQUIRED)
-    config = _parse_run_config(values, args.seed)
+    with _checked_values(config_path):
+        config = _parse_run_config(values, args.seed)
     base = config_path.parent
     header = {"has_header": values["has_header"]} if "has_header" in values else {}
 
@@ -224,6 +238,11 @@ def cmd_run(args: argparse.Namespace) -> int:
     for path in chunk_paths:
         if not path.is_file():
             raise ConfigError(f"chunk file not found: {path}")
+    # a chunk's id is its file's stem, and run_experiment needs them unique
+    stems = Counter(path.stem for path in [initial_path] + chunk_paths)
+    repeated = sorted(stem for stem, count in stems.items() if count > 1)
+    if repeated:
+        raise ConfigError(f"{config_path}: chunk file names repeat: {repeated}")
 
     initial = read_chunk_csv(initial_path, **header)
     chunks = [read_chunk_csv(path, **header) for path in chunk_paths]
@@ -258,6 +277,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    with _checked_values("report options"):
+        config = RunConfig(**_fields(RunConfig, vars(args)))
     records_path = Path(args.records)
     if not records_path.is_file():
         raise ConfigError(f"records file not found: {records_path}")
@@ -282,7 +303,6 @@ def cmd_report(args: argparse.Namespace) -> int:
         print("no records")
         return 0
 
-    config = RunConfig(**_fields(RunConfig, vars(args)))
     reports: list[ChunkReport] = []
     for chunk_id, records in grouped.items():
         reports.append(chunk_report(chunk_id, records, reports, config))

@@ -9,10 +9,9 @@ index) order, so distance ties at the neighborhood boundary go to the lower
 stored-point index and results are reproducible regardless of query
 batching. For the Euclidean metric, the squared distance in matrix-product
 form shortlists the points that can be among the k nearest. A row whose
-shortlist holds exactly k points is scored from their labels directly;
-only rows tied at the k-th distance get exact distances and the re-rank.
-Other metrics, non-finite inputs, and tied rows whose shortlist would be no
-smaller than the model scan every stored point.
+shortlist holds exactly k points is scored from their labels directly.
+Rows tied or nearly tied at the k-th distance, other metrics and
+non-finite inputs scan every stored point.
 """
 from __future__ import annotations
 
@@ -129,8 +128,8 @@ def _euclidean_positives(
     the order of a row. The shortlist is certified to hold all k true
     neighbors, so a row with exactly k shortlisted points has them as its
     neighbors and needs only their class-1 count. Only rows with more, that
-    is with points tied or nearly tied at the k-th distance, get exact
-    distances and the (distance, index) re-rank.
+    is with points tied or nearly tied at the k-th distance, take the full
+    scan, which ranks every point by exact (distance, index).
 
     Rounding bound. Let u = eps/2, gamma_n = n*u/(1 - n*u) and
     R = |q| + max|x|, so that R^2 bounds D^2 and |x|^2 + 2|q||x|. Scaling
@@ -165,45 +164,27 @@ def _euclidean_positives(
     gram += sq_points
     kth = np.partition(gram, k - 1, axis=1)[:, k - 1]
     keep = gram <= (kth + 4.0 * (d + 8) * (_EPS * scale + _TINY))[:, None]
-    counts = np.count_nonzero(keep, axis=1)
     positives = np.count_nonzero(keep[:, positive], axis=1)
-    wide = np.flatnonzero(counts > k)
+    wide = np.flatnonzero(np.count_nonzero(keep, axis=1) > k)
     if wide.size:
-        nearest = _rerank(points, block[wide], keep[wide], counts[wide], k)
-        positives[wide] = positive[nearest].sum(axis=1)
+        positives[wide] = positive[_scan(points, block[wide], k, 2.0)].sum(axis=1)
     return positives
-
-
-def _rerank(
-    points: np.ndarray, block: np.ndarray, keep: np.ndarray, counts: np.ndarray, k: int
-) -> np.ndarray:
-    """Indices of the first k shortlisted points of each row in (exact
-    distance, index) order, shape (n_rows, k). Rows whose shortlist would
-    not be smaller than the model take the full scan, which is no dearer."""
-    width = int(counts.max())
-    if width >= len(points):
-        return _scan(points, block, k, 2.0)
-    rows, cols = np.nonzero(keep)
-    slots = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    candidates = np.zeros((len(block), width), dtype=np.intp)
-    candidates[rows, slots] = cols
-    # padding sorts after every real candidate, and each row has at least k
-    dist = np.full((len(block), width), np.inf)
-    dist[rows, slots] = _minkowski(np.abs(block[rows] - points[cols]), 2.0)
-    return candidates[_first_k(dist, k)].reshape(-1, k)
 
 
 def knn_fit(config: KnnConfig, features, labels) -> KnnModel:
     """Store read-only copies of an (n, d) feature array and its (n,)
-    labels. Duplicate rows are kept."""
+    labels, each 0 or 1. Duplicate rows are kept."""
     features = np.array(features, dtype=np.float64)
-    labels = np.array(labels, dtype=np.int64)
+    labels = np.asarray(labels)
     if len(features) == 0:
         raise EmptyTrainingSet("cannot fit a nearest-neighbor model on zero instances")
     if features.ndim != 2 or labels.shape != features.shape[:1]:
         raise DimensionError(
             f"expected (n, d) features and (n,) labels, got {features.shape} and {labels.shape}"
         )
+    if not np.all((labels == 0) | (labels == 1)):
+        raise ValueError("labels must be 0 or 1")
+    labels = np.array(labels, dtype=np.int64)
     features.flags.writeable = False
     labels.flags.writeable = False
     return KnnModel(config, features, labels)

@@ -15,10 +15,11 @@ instances the ensemble still gets wrong. A composite that classifies the
 whole window correctly ends the round early.
 
 Windows are (features, labels) array pairs. The model itself learns
-online: each (row, label, was_correct) triple enters a buffer, and a full
-buffer becomes the next training window. Instances that the ensemble
-misclassified at arrival enter the window with doubled initial weight. Old
-window groups can be pruned wholesale to bound memory.
+online: blocks of rows, their labels and their outcomes at arrival are
+copied onto a columnar buffer, and a full buffer becomes the next training
+window. Instances that the ensemble misclassified at arrival enter the
+window with doubled initial weight. Old window groups can be pruned
+wholesale to bound memory.
 
 Prediction takes an (n, d) block and returns (labels, scores) arrays, the
 composite vote of every retained hypothesis; a single query is a one-row
@@ -64,6 +65,8 @@ logger = logging.getLogger(__name__)
 BETA_FLOOR = 1e-10
 
 _SUM_TOLERANCE = 1e-9
+
+_EMPTY_BUFFER = (np.empty((0, 0)), np.empty(0, dtype=np.int64), np.empty(0, dtype=bool))
 
 
 @dataclass(frozen=True)
@@ -342,12 +345,21 @@ class LearnPPModel:
         self.hypotheses: list[WeakHypothesis] = []
         self.windows_completed = 0
         self._rng = np.random.default_rng(config.seed)
-        # (feature row, label, misclassified at arrival), in arrival order
-        self._buffer: list[tuple[np.ndarray, int, bool]] = []
+        # (features, labels, missed at arrival) of the pending rows, in
+        # arrival order; each absorbed block is copied onto the end
+        self._buffer = _EMPTY_BUFFER
 
     @property
     def buffer_size(self) -> int:
-        return len(self._buffer)
+        return len(self._buffer[1])
+
+    @property
+    def rows_until_flush(self) -> int | None:
+        """Most rows the next :meth:`partial_fit` block may hold; a block of
+        exactly this many ends in a training round, one row after a failed
+        round. None with ``window_size=None``, where the caller flushes."""
+        window_size = self.config.window_size
+        return None if window_size is None else max(1, window_size - self.buffer_size)
 
     def predict(self, features) -> tuple[np.ndarray, np.ndarray]:
         """Composite labels and class-1 scores of an (n, d) feature block.
@@ -367,27 +379,41 @@ class LearnPPModel:
         """
         self._train(features, labels, init_weights(len(labels)))
 
-    def partial_fit(self, x, label: int, was_correct: bool) -> "LearnPPModel":
-        """Buffer one observed (d,) feature row and its label together with
-        its online outcome.
+    def partial_fit(self, features, labels, was_correct) -> "LearnPPModel":
+        """Buffer copies of an (n, d) block of observed feature rows, their
+        (n,) labels and whether the ensemble classified each correctly at
+        arrival.
 
-        When the buffer reaches the configured window size, it becomes a
-        training window: instances misclassified at arrival get double
-        initial weight, one round runs, the new hypotheses join the
-        ensemble, and the buffer clears. With ``window_size=None`` the
-        buffer only converts when the caller invokes :meth:`flush_window`.
+        The block may hold at most :attr:`rows_until_flush` rows (ValueError
+        otherwise, before anything changes), so a round can only fire on its
+        last row. When the buffer reaches the configured window size, it
+        becomes a training window: instances misclassified at arrival get
+        double initial weight, one round runs, the new hypotheses join the
+        ensemble, and the buffer clears. With ``window_size=None`` the buffer
+        only converts when the caller invokes :meth:`flush_window`.
 
         If the round fails, the buffer keeps its newest ``window_size``
-        instances, so the next instance retries the round and a run of
-        failures cannot grow memory.
+        instances, so the next row retries the round and a run of failures
+        cannot grow memory.
         """
-        self._buffer.append((np.array(x, dtype=np.float64), int(label), not was_correct))
-        window_size = self.config.window_size
-        if window_size is not None and len(self._buffer) >= window_size:
+        features = np.asarray(features, dtype=np.float64)
+        labels = np.asarray(labels, dtype=np.int64)
+        missed = ~np.asarray(was_correct, dtype=bool)
+        if features.ndim != 2 or labels.shape != features.shape[:1] or missed.shape != labels.shape:
+            shapes = f"{features.shape}, {labels.shape} and {missed.shape}"
+            raise DimensionError(f"expected (n, d), (n,) and (n,) blocks, got {shapes}")
+        limit = self.rows_until_flush
+        if limit is not None and len(labels) > limit:
+            raise ValueError(f"block of {len(labels)} rows is longer than rows_until_flush={limit}")
+        # concatenation copies, so the caller may reuse its arrays
+        block = (features, labels, missed)
+        head = self._buffer if self.buffer_size else tuple(column[:0] for column in block)
+        self._buffer = tuple(np.concatenate(pair) for pair in zip(head, block))
+        if len(labels) == limit:
             try:
                 self.flush_window()
             except RoundFailed:
-                del self._buffer[:-window_size]
+                self._buffer = tuple(column[-self.config.window_size :] for column in self._buffer)
                 raise
         return self
 
@@ -399,22 +425,21 @@ class LearnPPModel:
         If the round fails, the buffer is retained so the caller can retry,
         flush later, or resize.
         """
-        if not self._buffer:
+        if not self.buffer_size:
             return
-        rows, labels, missed = zip(*self._buffer)
-        labels = np.array(labels, dtype=np.int64)
+        features, labels, missed = self._buffer
         present = np.unique(labels)
         if len(present) < 2:
             logger.warning(
                 "window %d holds only class %d; dropping %d buffered instances",
                 self.windows_completed, present[0], len(labels),
             )
-            self._buffer.clear()
+            self._buffer = _EMPTY_BUFFER
             self.windows_completed += 1
             return
         d0 = WeightDistribution.normalized(np.where(missed, 2.0, 1.0))
-        self._train(np.stack(rows), labels, d0)
-        self._buffer.clear()
+        self._train(features, labels, d0)
+        self._buffer = _EMPTY_BUFFER
 
     def _train(self, features, labels, d0: WeightDistribution) -> None:
         """Run one round on a window and add its hypotheses to the ensemble."""

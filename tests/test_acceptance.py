@@ -355,7 +355,7 @@ def test_finite_memory_contract(capsys):
         reduced = reduce_chunk(chunk, 3)
         for x, label in zip(reduced.features, reduced.labels):
             predicted = model.predict(x[None])[0][0]
-            model.partial_fit(x, label, was_correct=(predicted == label))
+            model.partial_fit(x[None], [label], [predicted == label])
             max_hyps = max(max_hyps, len(model.hypotheses))
             max_buffer = max(max_buffer, model.buffer_size)
             if len(model.hypotheses) > hyp_cap or model.buffer_size > config.window_size:

@@ -202,7 +202,7 @@ def per_instance_records(model, chunk, config):
         predicted, score = labels[0], scores[0]
         records.append(PredictionRecord(chunk.id, i, label, predicted, score))
         try:
-            model.partial_fit(x, label, was_correct=(predicted == label))
+            model.partial_fit(x[None], [label], [predicted == label])
         except RoundFailed:
             return records
     if model.config.window_size is None:

@@ -322,6 +322,41 @@ class TestReport:
         assert tight_table.splitlines()[2].split()[-1] == "true"
 
 
+class TestInputErrors:
+    @staticmethod
+    def argv_and_name(case, tmp_path):
+        """The command line of a bad-input case and a word its error names."""
+        out = ["--out", str(tmp_path / "out")]
+        if case == "pc_count":
+            cfg = write_config(tmp_path / "run.cfg", initial_chunk="a.csv", chunks="b.csv", pc_count=0)
+            return ["run", "--config", str(cfg)] + out, str(cfg)
+        if case == "n_chunks":
+            cfg = write_config(tmp_path / "gen.cfg", n_chunks=0, chunk_size=10, dimensionality=3)
+            return ["generate", "--config", str(cfg)] + out, str(cfg)
+        if case == "drift_f1_drop":
+            records = tmp_path / "records.jsonl"
+            records.write_text(json.dumps(
+                {"chunk_id": "a", "index": 0, "truth": 1, "predicted": 1, "score": 0.9}
+            ) + "\n")
+            return ["report", str(records), "--drift-f1-drop", "-1"], "drift_f1_drop"
+        stream = generate_stationary(tmp_path)
+        cfg = write_config(
+            tmp_path / "run.cfg",
+            initial_chunk=f"{stream.name}/chunk_000.csv",
+            chunks=f"{stream.name}/chunk_001.csv,{stream.name}/chunk_000.csv",
+            pc_count=2,
+        )
+        return ["run", "--config", str(cfg)] + out, "chunk_000"
+
+    @pytest.mark.parametrize("case", ["pc_count", "n_chunks", "drift_f1_drop", "repeated_chunk"])
+    def test_exits_one_with_error_line(self, case, tmp_path, capsys):
+        argv, name = self.argv_and_name(case, tmp_path)
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and name in err
+        assert not (tmp_path / "out" / "records.jsonl").exists()
+
+
 class TestEntryPoint:
     def test_console_script_installed(self, tmp_path):
         exe = shutil.which("driftpp")

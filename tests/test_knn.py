@@ -89,6 +89,10 @@ class TestFit:
         with pytest.raises(DimensionError):
             knn_fit(KnnConfig(), [[1.0], [2.0]], [0])
 
+    def test_label_outside_binary_raises(self):
+        with pytest.raises(ValueError, match="labels must be 0 or 1"):
+            knn_fit(KnnConfig(k=3), [[0.0], [1.0], [2.0], [9.0]], [2, 2, 1, 0])
+
 
 class TestPredict:
     def test_two_nearer_class0_points(self):

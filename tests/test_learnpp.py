@@ -401,7 +401,7 @@ class TestModel:
         model.fit_initial(*window)
         before = len(model.hypotheses)
         for x, label in list(zip(*window))[:3]:
-            model.partial_fit(x, label, was_correct=True)
+            model.partial_fit(x[None], [label], [True])
         assert model.buffer_size == 3
         assert len(model.hypotheses) == before
 
@@ -412,7 +412,7 @@ class TestModel:
         before_hyps = len(model.hypotheses)
         before_windows = model.windows_completed
         for x, label in list(zip(*window))[:4]:
-            model.partial_fit(x, label, was_correct=False)
+            model.partial_fit(x[None], [label], [False])
         assert model.buffer_size == 0
         assert model.windows_completed == before_windows + 1
         grown = len(model.hypotheses) - before_hyps
@@ -425,7 +425,7 @@ class TestModel:
         model.fit_initial(*two_cluster_window(10, 2, rng))
         for _ in range(2):
             for x, label in zip(*two_cluster_window(10, 2, rng)):
-                model.partial_fit(x, label, was_correct=True)
+                model.partial_fit(x[None], [label], [True])
         ordinals = {h.window_ordinal for h in model.hypotheses}
         assert ordinals == {1, 2}
 
@@ -434,7 +434,7 @@ class TestModel:
         model.fit_initial(*two_cluster_window(10, 2, rng))
         before = len(model.hypotheses)
         for x in rng.normal(size=(5, 2)):
-            model.partial_fit(x, 1, was_correct=True)
+            model.partial_fit(x[None], [1], [True])
         model.flush_window()
         assert len(model.hypotheses) == before
         assert model.buffer_size == 0
@@ -453,7 +453,7 @@ class TestModel:
         counts = [len(model.hypotheses)]
         for _ in range(3):
             for x, label in zip(*two_cluster_window(6, 2, rng)):
-                model.partial_fit(x, label, was_correct=True)
+                model.partial_fit(x[None], [label], [True])
             counts.append(len(model.hypotheses))
         assert counts == sorted(counts)
 
@@ -462,6 +462,76 @@ class TestModel:
         model.fit_initial(*two_cluster_window(12, 2, rng))
         for _ in range(2):
             for x, label in zip(*two_cluster_window(6, 2, rng)):
-                model.partial_fit(x, label, was_correct=True)
+                model.partial_fit(x[None], [label], [True])
         ordinals = [h.window_ordinal for h in model.hypotheses]
         assert ordinals == sorted(ordinals)
+
+    @staticmethod
+    def state(model):
+        """Buffer length, window count, and each hypothesis's vote weight
+        and stored points."""
+        return (
+            model.buffer_size,
+            model.windows_completed,
+            [
+                (h.vote_weight, h.model.features.tolist(), h.model.labels.tolist())
+                for h in model.hypotheses
+            ],
+        )
+
+    @pytest.mark.parametrize("window_size, after_failure", [(None, False), (6, False), (6, True)])
+    def test_block_absorb_matches_row_by_row(self, rng, window_size, after_failure):
+        config = LearnPPConfig(window_size=window_size, knn=KnnConfig(k=1), seed=0)
+        initial = two_cluster_window(12, 2, rng)
+        features, labels = two_cluster_window(6, 2, rng)
+        was_correct = np.array([True, False, True, True, False, True])
+        # each point twice, once per label: every candidate misses half the
+        # weight, so the round over this window fails
+        noise = np.repeat(rng.normal(size=(3, 2)), 2, axis=0), np.tile([0, 1], 3)
+        block, by_row = LearnPPModel(config), LearnPPModel(config)
+        for model in (block, by_row):
+            model.fit_initial(*initial)
+            if after_failure:
+                with pytest.raises(RoundFailed):
+                    model.partial_fit(*noise, np.ones(6, dtype=bool))
+        n = block.rows_until_flush or len(labels)
+        assert n == (1 if after_failure else 6)
+        block.partial_fit(features[:n], labels[:n], was_correct[:n])
+        for i in range(n):
+            by_row.partial_fit(features[i : i + 1], labels[i : i + 1], was_correct[i : i + 1])
+        if window_size is None:
+            block.flush_window()
+            by_row.flush_window()
+        assert block.buffer_size == 0
+        assert block.windows_completed == 2
+        assert self.state(block) == self.state(by_row)
+
+    def test_block_past_the_flush_raises_and_changes_nothing(self, rng):
+        model = LearnPPModel(LearnPPConfig(window_size=4, knn=KnnConfig(k=1), seed=0))
+        model.fit_initial(*two_cluster_window(8, 2, rng))
+        features, labels = two_cluster_window(5, 2, rng)
+        model.partial_fit(features[:1], labels[:1], [True])
+        before = self.state(model)
+        assert model.rows_until_flush == 3
+        with pytest.raises(ValueError):
+            model.partial_fit(features[1:], labels[1:], [True] * 4)
+        assert self.state(model) == before
+        assert model.rows_until_flush == 3
+
+    def test_buffer_holds_copies(self, rng):
+        config = LearnPPConfig(window_size=6, knn=KnnConfig(k=1), seed=0)
+        initial = two_cluster_window(12, 2, rng)
+        features, labels = two_cluster_window(6, 2, rng)
+        was_correct = np.ones(6, dtype=bool)
+        edited, clean = LearnPPModel(config), LearnPPModel(config)
+        for model in (edited, clean):
+            model.fit_initial(*initial)
+        edited.partial_fit(features[:3], labels[:3], was_correct[:3])
+        clean.partial_fit(features[:3].copy(), labels[:3].copy(), was_correct[:3].copy())
+        features[:3] = 100.0
+        labels[:3] = 1 - labels[:3]
+        was_correct[:3] = False
+        for model in (edited, clean):
+            model.partial_fit(features[3:], labels[3:], was_correct[3:])
+        assert clean.windows_completed == 2
+        assert self.state(edited) == self.state(clean)
