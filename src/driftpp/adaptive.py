@@ -161,17 +161,21 @@ def chunk_report(
     )
 
 
-def _invalid_note(chunk: Chunk) -> str | None:
-    """Why a chunk fails validation (its violation count and the first
-    one), or None when it passes."""
+def _reduce_valid(chunk: Chunk, pc_count: int) -> Chunk | str:
+    """The chunk through :func:`reduce_chunk`, or a note saying why it fails
+    validation (its violation count and the first one) or cannot be
+    reduced."""
     violations = validate_chunk(chunk).violations
-    if not violations:
-        return None
-    first = violations[0]
-    return (
-        f"chunk {chunk.id} is invalid ({len(violations)} violations; "
-        f"first at instance {first.index}: {first.reason})"
-    )
+    if violations:
+        first = violations[0]
+        return (
+            f"chunk {chunk.id} is invalid ({len(violations)} violations; "
+            f"first at instance {first.index}: {first.reason})"
+        )
+    try:
+        return reduce_chunk(chunk, pc_count)
+    except (DimensionError, DegenerateData) as exc:
+        return f"chunk {chunk.id} cannot be reduced: {exc}"
 
 
 def _records(chunk_id: str, truth, predicted, scores, start: int = 0) -> list[PredictionRecord]:
@@ -187,11 +191,10 @@ def pretrain(
 
     Runs one full-window round under uniform weights, then scores the
     trained ensemble on the same chunk to produce the initial-classifier
-    report (training-set metrics, never alarmed).
+    report (training-set metrics, never alarmed). Raises PretrainFailed,
+    naming the chunk, when it is empty, single-class, invalid or cannot be
+    reduced, or when the round fails.
     """
-    note = _invalid_note(initial)
-    if note is not None:
-        raise PretrainFailed(f"initial {note}")
     if len(initial) == 0:
         raise PretrainFailed(f"initial chunk {initial.id} is empty")
     present = set(initial.labels.tolist())
@@ -199,7 +202,9 @@ def pretrain(
         raise PretrainFailed(
             f"initial chunk {initial.id} holds only class {present.pop()}"
         )
-    reduced = reduce_chunk(initial, config.pc_count)
+    reduced = _reduce_valid(initial, config.pc_count)
+    if isinstance(reduced, str):
+        raise PretrainFailed(f"initial {reduced}")
     model = LearnPPModel(config.learnpp)
     try:
         model.fit_initial(reduced.features, reduced.labels)
@@ -238,16 +243,10 @@ def process_chunk(
         raise EmptyEnsemble("model has no hypotheses; pretrain before processing chunks")
     if len(chunk) == 0:
         return chunk_report(chunk.id, [], history, config), []
-    note = _invalid_note(chunk)
-    if note is not None:
-        logger.error("%s", note)
-        return chunk_report(chunk.id, [], history, config, error=note), []
-    try:
-        reduced = reduce_chunk(chunk, config.pc_count)
-    except (DimensionError, DegenerateData) as exc:
-        note = f"chunk {chunk.id} cannot be reduced: {exc}"
-        logger.error("%s", note)
-        return chunk_report(chunk.id, [], history, config, error=note), []
+    reduced = _reduce_valid(chunk, config.pc_count)
+    if isinstance(reduced, str):
+        logger.error("%s", reduced)
+        return chunk_report(chunk.id, [], history, config, error=reduced), []
     features, labels = reduced.features, reduced.labels
     records: list[PredictionRecord] = []
     error_note: str | None = None

@@ -1,8 +1,13 @@
 """Command-line front end: driftpp run | generate | report.
 
 Configs are flat key=value text files, one pair per line, with # comments.
-Paths inside a config resolve relative to the config file. The DRIFTPP_LOG
-environment variable (error|warn|info|debug) sets the log level.
+Their keys are the fields of the library's config dataclasses: for a run,
+those of RunConfig and LearnPPConfig as named and KnnConfig's with the
+prefix ``knn_``, plus ``initial_chunk``, ``chunks`` and ``has_header``; for
+generate, those of StreamSpec and DriftSpec's with the prefix ``drift_``.
+``window_size = chunk`` and ``max_window_ensembles = unbounded`` spell
+None. Paths inside a config resolve relative to the config file. The
+DRIFTPP_LOG environment variable (error|warn|info|debug) sets the log level.
 
 Exit codes: 0 success, 1 error, 2 success with at least one drift alarm.
 """
@@ -17,15 +22,14 @@ import os
 import sys
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import asdict, fields
+from dataclasses import MISSING, asdict, fields, is_dataclass
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 from .adaptive import ChunkReport, RunConfig, chunk_report, run_experiment
 from .core import PredictionRecord
-from .data import DriftSpec, StreamSpec, generate_stream, read_chunk_csv, write_chunk_csv
+from .data import StreamSpec, generate_stream, read_chunk_csv, write_chunk_csv
 from .errors import ConfigError, DriftppError
-from .knn import KnnConfig
-from .learnpp import LearnPPConfig
 
 __all__ = ["main", "cmd_generate", "cmd_run", "cmd_report"]
 
@@ -33,38 +37,47 @@ logger = logging.getLogger(__name__)
 
 _LOG_LEVELS = {"error": logging.ERROR, "warn": logging.WARNING, "info": logging.INFO, "debug": logging.DEBUG}
 
-# config keys and their value types; a key left out keeps the default of
-# the field or parameter it sets
-_GENERATE_KEYS = {
-    "n_chunks": int,
-    "chunk_size": int,
-    "dimensionality": int,
-    "class_balance": float,
-    "noise": float,
-    "seed": int,
-    "drift_kind": str,
-    "drift_at_chunk": int,
-    "drift_magnitude": float,
-    "drift_gradual_span": int,
-}
-_GENERATE_REQUIRED = ("n_chunks", "chunk_size", "dimensionality")
+# the key prefix of each nested config's fields
+_NESTED_PREFIX = {"learnpp": "", "knn": "knn_", "drift": "drift_"}
 
-_RUN_KEYS = {
-    "initial_chunk": str,
-    "chunks": str,
-    "pc_count": int,
-    "n_estimators": int,
-    "window_size": int,
-    "error_threshold": float,
-    "max_retries": int,
-    "max_window_ensembles": int,
-    "knn_k": int,
-    "knn_p": float,
-    "seed": int,
-    "drift_f1_drop": float,
-    "drift_baseline_window": int,
-    "has_header": bool,
-}
+
+def _schema(cls, prefix: str = "") -> tuple[dict[str, type], tuple[str, ...]]:
+    """The config keys of dataclass ``cls`` with their value types, and the
+    required ones: a key is ``prefix`` plus a field name, a nested config's
+    fields take its prefix, ``int | None`` reads as int, and a field with no
+    default is required."""
+    kinds: dict[str, type] = {}
+    required: list[str] = []
+    hints = get_type_hints(cls)
+    for field in fields(cls):
+        kind, key = hints[field.name], prefix + field.name
+        if is_dataclass(kind):
+            nested_kinds, nested_required = _schema(kind, prefix + _NESTED_PREFIX[field.name])
+            kinds.update(nested_kinds)
+            required += nested_required
+            continue
+        kinds[key] = next((arg for arg in get_args(kind) if arg is not type(None)), kind)
+        if field.default is MISSING and field.default_factory is MISSING:
+            required.append(key)
+    return kinds, tuple(required)
+
+
+def _build(cls, values: dict, prefix: str = ""):
+    """An instance of dataclass ``cls`` from the values under its keys, as
+    :func:`_schema` names them; a field with no value keeps its default."""
+    hints = get_type_hints(cls)
+    kwargs = {}
+    for field in fields(cls):
+        if is_dataclass(hints[field.name]):
+            kwargs[field.name] = _build(hints[field.name], values, prefix + _NESTED_PREFIX[field.name])
+        elif prefix + field.name in values:
+            kwargs[field.name] = values[prefix + field.name]
+    return cls(**kwargs)
+
+
+# a key left out keeps the default of the field or parameter it sets
+_GENERATE_KEYS, _GENERATE_REQUIRED = _schema(StreamSpec)
+_RUN_KEYS = {"initial_chunk": str, "chunks": str, **_schema(RunConfig)[0], "has_header": bool}
 _RUN_REQUIRED = ("initial_chunk", "chunks")
 
 # the words that spell None for these keys
@@ -113,17 +126,6 @@ def _parse_typed(key: str, raw: str, kind):
     return kind(raw)
 
 
-def _fields(cls, values: dict, prefix: str = "") -> dict:
-    """The values whose key is ``prefix`` plus a field name of dataclass
-    ``cls``, keyed by that field name."""
-    names = {field.name for field in fields(cls)}
-    return {
-        key[len(prefix):]: value
-        for key, value in values.items()
-        if key.startswith(prefix) and key[len(prefix):] in names
-    }
-
-
 @contextmanager
 def _checked_values(source):
     """Re-raise a config dataclass's ValueError as a ConfigError that
@@ -132,19 +134,6 @@ def _checked_values(source):
         yield
     except ValueError as exc:
         raise ConfigError(f"{source}: {exc}") from None
-
-
-def _parse_stream_spec(values: dict) -> StreamSpec:
-    drift = DriftSpec(**_fields(DriftSpec, values, "drift_"))
-    return StreamSpec(**_fields(StreamSpec, values), drift=drift)
-
-
-def _parse_run_config(values: dict, seed_override: int | None) -> RunConfig:
-    learnpp = _fields(LearnPPConfig, values)
-    if seed_override is not None:
-        learnpp["seed"] = seed_override
-    knn = KnnConfig(**_fields(KnnConfig, values, "knn_"))
-    return RunConfig(learnpp=LearnPPConfig(**learnpp, knn=knn), **_fields(RunConfig, values))
 
 
 def _resolve_chunk_paths(raw: str, base: Path) -> list[Path]:
@@ -205,7 +194,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     config_path = Path(args.config)
     values = _load_config(config_path, _GENERATE_KEYS, _GENERATE_REQUIRED)
     with _checked_values(config_path):
-        spec = _parse_stream_spec(values)
+        spec = _build(StreamSpec, values)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     chunks = generate_stream(spec)
@@ -224,8 +213,10 @@ def cmd_generate(args: argparse.Namespace) -> int:
 def cmd_run(args: argparse.Namespace) -> int:
     config_path = Path(args.config)
     values = _load_config(config_path, _RUN_KEYS, _RUN_REQUIRED)
+    if args.seed is not None:
+        values["seed"] = args.seed
     with _checked_values(config_path):
-        config = _parse_run_config(values, args.seed)
+        config = _build(RunConfig, values)
     base = config_path.parent
     header = {"has_header": values["has_header"]} if "has_header" in values else {}
 
@@ -278,7 +269,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     with _checked_values("report options"):
-        config = RunConfig(**_fields(RunConfig, vars(args)))
+        config = _build(RunConfig, vars(args))
     records_path = Path(args.records)
     if not records_path.is_file():
         raise ConfigError(f"records file not found: {records_path}")

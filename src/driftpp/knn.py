@@ -11,7 +11,8 @@ batching. For the Euclidean metric, the squared distance in matrix-product
 form shortlists the points that can be among the k nearest. A row whose
 shortlist holds exactly k points is scored from their labels directly.
 Rows tied or nearly tied at the k-th distance, other metrics and
-non-finite inputs scan every stored point.
+non-finite inputs scan every stored point: a stable sort of the row's
+distances, NaN last, gives the (distance, stored index) order.
 """
 from __future__ import annotations
 
@@ -89,31 +90,10 @@ def _pairwise(points: np.ndarray, queries: np.ndarray, p: float) -> np.ndarray:
     return _minkowski(np.abs(queries[:, None, :] - points[None, :, :]), p)
 
 
-def _first_k(dist: np.ndarray, k: int) -> np.ndarray:
-    """Mask of the first k entries of each row in (distance, position) order.
-
-    That is every entry below the row's k-th smallest distance, then the
-    lowest positions among those equal to it: the first k of a stable
-    argsort, without sorting the row.
-    """
-    kth = np.partition(dist, k - 1, axis=1)[:, k - 1 : k]
-    nearer = dist < kth
-    tied = dist == kth
-    room = k - nearer.sum(axis=1, keepdims=True)
-    chosen = nearer | (tied & (np.cumsum(tied, axis=1) <= room))
-    nan_rows = np.flatnonzero(np.isnan(kth[:, 0]))
-    if nan_rows.size:
-        # NaN compares equal to nothing; a stable sort puts NaN last
-        order = np.argsort(dist[nan_rows], axis=1, kind="stable")[:, :k]
-        chosen[nan_rows] = False
-        chosen[nan_rows[:, None], order] = True
-    return chosen
-
-
 def _scan(points: np.ndarray, block: np.ndarray, k: int, p: float) -> np.ndarray:
     """Indices of the k nearest points of each query row by a full scan,
     shape (n_rows, k)."""
-    return np.nonzero(_first_k(_pairwise(points, block, p), k))[1].reshape(-1, k)
+    return np.argsort(_pairwise(points, block, p), axis=1, kind="stable")[:, :k]
 
 
 def _euclidean_positives(

@@ -107,6 +107,14 @@ class TestPretrain:
         with pytest.raises(PretrainFailed):
             pretrain(chunk, small_config())
 
+    @pytest.mark.parametrize("case", ["short", "constant"])
+    def test_unreducible_chunk_rejected_by_name(self, case):
+        # too few rows for pc_count components, or no variance to project
+        rows = np.arange(8.0).reshape(2, 4) if case == "short" else np.ones((50, 4))
+        chunk = Chunk(case, rows, np.arange(len(rows)) % 2)
+        with pytest.raises(PretrainFailed, match=f"initial chunk {case} cannot be reduced"):
+            pretrain(chunk, small_config(pc_count=3))
+
     def test_deterministic(self):
         initial = cluster_chunk("initial", 200, seed=9)
         _, report_a, records_a = pretrain(initial, small_config())

@@ -2,19 +2,21 @@ import json
 import hashlib
 import shutil
 import subprocess
+from collections import Counter
+from typing import get_args, get_type_hints
 
 import pytest
 
-from driftpp import cli
+from driftpp import adaptive, cli, learnpp
 from driftpp.adaptive import RunConfig
 from driftpp.cli import (
     _GENERATE_KEYS,
     _GENERATE_REQUIRED,
+    _NONE_SPELLINGS,
     _RUN_KEYS,
     _RUN_REQUIRED,
+    _build,
     _load_config,
-    _parse_run_config,
-    _parse_stream_spec,
     main,
 )
 from driftpp.core import PredictionRecord
@@ -109,12 +111,12 @@ class TestParseConfig:
     def test_run_config_defaults_come_from_the_dataclasses(self, tmp_path):
         cfg = write_config(tmp_path / "run.cfg", initial_chunk="a.csv", chunks="b.csv")
         values = _load_config(cfg, _RUN_KEYS, _RUN_REQUIRED)
-        assert _parse_run_config(values, None) == RunConfig(learnpp=LearnPPConfig())
+        assert _build(RunConfig, values) == RunConfig(learnpp=LearnPPConfig())
 
     def test_generate_config_defaults_come_from_the_dataclasses(self, tmp_path):
         cfg = write_config(tmp_path / "gen.cfg", n_chunks=3, chunk_size=10, dimensionality=4)
         values = _load_config(cfg, _GENERATE_KEYS, _GENERATE_REQUIRED)
-        assert _parse_stream_spec(values) == StreamSpec(3, 10, 4)
+        assert _build(StreamSpec, values) == StreamSpec(3, 10, 4)
 
     def test_set_keys_reach_their_fields(self, tmp_path):
         cfg = write_config(
@@ -128,8 +130,8 @@ class TestParseConfig:
             pc_count=4,
             drift_baseline_window=2,
         )
-        assert _parse_run_config(values, None) == want
-        assert _parse_run_config(values, 3).learnpp.seed == 3
+        assert _build(RunConfig, values) == want
+        assert _build(RunConfig, {**values, "seed": 3}).learnpp.seed == 3
 
         cfg = write_config(
             tmp_path / "gen.cfg", n_chunks=3, chunk_size=10, dimensionality=4,
@@ -137,7 +139,47 @@ class TestParseConfig:
         )
         values = _load_config(cfg, _GENERATE_KEYS, _GENERATE_REQUIRED)
         drift = DriftSpec(kind="gradual", at_chunk=2, gradual_span=3)
-        assert _parse_stream_spec(values) == StreamSpec(3, 10, 4, drift=drift)
+        assert _build(StreamSpec, values) == StreamSpec(3, 10, 4, drift=drift)
+
+    def test_schema_is_pinned(self):
+        # the keys config files use; renaming a dataclass field renames its
+        # key, which must show up here
+        assert _GENERATE_KEYS == {
+            "n_chunks": int,
+            "chunk_size": int,
+            "dimensionality": int,
+            "class_balance": float,
+            "noise": float,
+            "seed": int,
+            "drift_kind": str,
+            "drift_at_chunk": int,
+            "drift_magnitude": float,
+            "drift_gradual_span": int,
+        }
+        assert _GENERATE_REQUIRED == ("n_chunks", "chunk_size", "dimensionality")
+        assert _RUN_KEYS == {
+            "initial_chunk": str,
+            "chunks": str,
+            "pc_count": int,
+            "n_estimators": int,
+            "window_size": int,
+            "error_threshold": float,
+            "max_retries": int,
+            "max_window_ensembles": int,
+            "knn_k": int,
+            "knn_p": float,
+            "seed": int,
+            "drift_f1_drop": float,
+            "drift_baseline_window": int,
+            "has_header": bool,
+        }
+        assert _RUN_REQUIRED == ("initial_chunk", "chunks")
+        nested = [(StreamSpec, ""), (DriftSpec, "drift_"), (RunConfig, ""),
+                  (LearnPPConfig, ""), (KnnConfig, "knn_")]
+        for config_class, prefix in nested:
+            for name, hint in get_type_hints(config_class).items():
+                if type(None) in get_args(hint):
+                    assert prefix + name in _NONE_SPELLINGS
 
     def test_unparseable_value_names_line(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -213,6 +255,19 @@ class TestRun:
             for r in records
         )
         assert (out / "records.jsonl").read_text(encoding="utf-8") == want
+
+    def test_seed_option_overrides_config(self, tmp_path, monkeypatch):
+        seeds = []
+
+        def capture(initial, chunks, config, record_sink):
+            seeds.append(config.learnpp.seed)
+            return []
+
+        monkeypatch.setattr(cli, "run_experiment", capture)
+        cfg = run_config_for(tmp_path, generate_stationary(tmp_path), seed=7)
+        for extra in ([], ["--seed", "3"]):
+            assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o"), *extra]) == 0
+        assert seeds == [7, 3]
 
     def test_rerun_outputs_byte_identical(self, tmp_path):
         stream = generate_stationary(tmp_path)
@@ -355,6 +410,46 @@ class TestInputErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and name in err
         assert not (tmp_path / "out" / "records.jsonl").exists()
+
+
+class TestTracedSeams:
+    def test_traced_names_are_looked_up_where_patched(self, tmp_path, monkeypatch):
+        # perfbench/child.py traces a run by replacing these names in the
+        # module that looks each one up; a refactor that inlines one or
+        # looks it up elsewhere would leave that layer untraced
+        seams = [(cli, "read_chunk_csv"), (learnpp.LearnPPModel, "predict")]
+        seams += [(adaptive, name) for name in (
+            "process_chunk", "reduce_chunk", "pca_fit", "pca_transform",
+            "standardize_chunk", "confusion", "f1", "fnr", "auc",
+        )]
+        seams += [(learnpp, name) for name in ("run_round", "knn_fit", "knn_predict_batch")]
+        calls = Counter()
+
+        def count(owner, name):
+            original = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                calls[owner, name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        for owner, name in seams:
+            count(owner, name)
+        experiment = cli.run_experiment
+
+        def experiment_with_sink(*args, record_sink=None, **kwargs):
+            if record_sink is not None:
+                calls[cli, "run_experiment"] += 1
+            return experiment(*args, record_sink=record_sink, **kwargs)
+
+        monkeypatch.setattr(cli, "run_experiment", experiment_with_sink)
+        # wider than pc_count, so that the PCA seams run
+        stream = generate_stationary(tmp_path, dimensionality=4)
+        cfg = run_config_for(tmp_path, stream, pc_count=2)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        seams.append((cli, "run_experiment"))
+        assert [f"{owner.__name__}.{name}" for owner, name in seams if not calls[owner, name]] == []
 
 
 class TestEntryPoint:
