@@ -8,7 +8,8 @@ standardized, evaluated, and then folded into the ensemble. The ensemble
 only changes when its buffer flushes into a training round, so the
 instances between two flushes are predicted, recorded and absorbed as one
 block; with the default chunk-aligned windows the whole chunk is one block
-and becomes one training window at its end.
+and becomes one training window at its end. A window whose round fails is
+dropped like any other flushed window, and the chunk goes on.
 
 A chunk report carries F1, AUC, miss rate, and raw counts, plus a drift
 alarm: the alarm fires when the chunk's F1 falls more than a configured drop
@@ -69,7 +70,7 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.pc_count < 1:
             raise ValueError(f"pc_count must be >= 1, got {self.pc_count}")
-        if self.drift_f1_drop <= 0.0:
+        if not self.drift_f1_drop > 0.0:
             raise ValueError(f"drift_f1_drop must be positive, got {self.drift_f1_drop}")
         if self.drift_baseline_window < 1:
             raise ValueError(
@@ -79,8 +80,8 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class ChunkReport:
-    """Per-chunk evaluation summary. ``error`` notes a training failure that
-    cut the chunk short; metrics then cover the instances processed."""
+    """Per-chunk evaluation summary. ``error`` notes the first round that
+    failed in the chunk, or why the chunk could not be evaluated at all."""
 
     chunk_id: str
     f1: float
@@ -229,15 +230,14 @@ def process_chunk(
     time: the instances up to the next buffer flush (the whole chunk with
     chunk-aligned windows), during which the ensemble cannot change, are
     predicted as one block and absorbed as one block. With chunk-aligned
-    windows the buffered chunk is flushed into one training round at the
-    end. ``history`` supplies the drift-alarm baseline.
+    windows the chunk is one segment, flushed into one training round at
+    the end. ``history`` supplies the drift-alarm baseline.
 
-    A failed training round stops the chunk; the report then covers the
-    instances processed so far and carries the failure note, and the model
-    keeps its newest buffered instances (at most one window) so a later
-    round can absorb them. A chunk that fails
-    validation or cannot be reduced yields a report with the error set and
-    no records, and leaves the model untouched.
+    A failed training round drops its window and the chunk goes on, so
+    every instance is recorded; the report carries the first failure note
+    of the chunk. A chunk that fails validation or cannot be reduced yields
+    a report with the error set and no records, and leaves the model
+    untouched.
     """
     if not model.hypotheses:
         raise EmptyEnsemble("model has no hypotheses; pretrain before processing chunks")
@@ -251,23 +251,19 @@ def process_chunk(
     records: list[PredictionRecord] = []
     error_note: str | None = None
     start = 0
-    while start < len(labels) and error_note is None:
+    while start < len(labels):
         stop = min(len(labels), start + (model.rows_until_flush or len(labels)))
         predicted, scores = model.predict(features[start:stop])
         truth = labels[start:stop]
         records += _records(chunk.id, truth, predicted, scores, start)
         try:
             model.partial_fit(features[start:stop], truth, predicted == truth)
+            if model.config.window_size is None:
+                model.flush_window()
         except RoundFailed as exc:
-            error_note = str(exc)
+            error_note = error_note or str(exc)
             logger.error("chunk %s: training round failed (%s)", chunk.id, exc)
         start = stop
-    if error_note is None and model.config.window_size is None:
-        try:
-            model.flush_window()
-        except RoundFailed as exc:
-            error_note = str(exc)
-            logger.error("chunk %s: end-of-chunk round failed (%s)", chunk.id, exc)
     report = chunk_report(chunk.id, records, history, config, error=error_note)
     return report, records
 

@@ -31,6 +31,13 @@ _EPS = np.finfo(np.float64).eps
 _TINY = np.finfo(np.float64).smallest_subnormal
 
 
+def _check_p(p: float) -> None:
+    """Reject a Minkowski order outside [1, inf); NaN or infinity would make
+    every distance equal."""
+    if not 1.0 <= p < np.inf:
+        raise ValueError(f"p must lie in [1, inf), got {p}")
+
+
 @dataclass(frozen=True)
 class KnnConfig:
     k: int = 3
@@ -39,8 +46,7 @@ class KnnConfig:
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.p < 1:
-            raise ValueError(f"p must be >= 1, got {self.p}")
+        _check_p(self.p)
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,7 +67,8 @@ class KnnModel:
 
 
 def minkowski_distance(a, b, p: float = 2.0) -> float:
-    """(sum_i |a_i - b_i|^p)^(1/p) for two equal-length vectors."""
+    """(sum_i |a_i - b_i|^p)^(1/p) for two equal-length vectors, p in [1, inf)."""
+    _check_p(p)
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 1:

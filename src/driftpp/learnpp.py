@@ -356,10 +356,11 @@ class LearnPPModel:
     @property
     def rows_until_flush(self) -> int | None:
         """Most rows the next :meth:`partial_fit` block may hold; a block of
-        exactly this many ends in a training round, one row after a failed
-        round. None with ``window_size=None``, where the caller flushes."""
+        exactly this many ends in a training round. The buffer is always
+        shorter than one window, so this is at least 1. None with
+        ``window_size=None``, where the caller flushes."""
         window_size = self.config.window_size
-        return None if window_size is None else max(1, window_size - self.buffer_size)
+        return None if window_size is None else window_size - self.buffer_size
 
     def predict(self, features) -> tuple[np.ndarray, np.ndarray]:
         """Composite labels and class-1 scores of an (n, d) feature block.
@@ -392,9 +393,8 @@ class LearnPPModel:
         ensemble, and the buffer clears. With ``window_size=None`` the buffer
         only converts when the caller invokes :meth:`flush_window`.
 
-        If the round fails, the buffer keeps its newest ``window_size``
-        instances, so the next row retries the round and a run of failures
-        cannot grow memory.
+        If the round fails, RoundFailed propagates and the window is gone
+        all the same (see :meth:`flush_window`).
         """
         features = np.asarray(features, dtype=np.float64)
         labels = np.asarray(labels, dtype=np.int64)
@@ -410,36 +410,31 @@ class LearnPPModel:
         head = self._buffer if self.buffer_size else tuple(column[:0] for column in block)
         self._buffer = tuple(np.concatenate(pair) for pair in zip(head, block))
         if len(labels) == limit:
-            try:
-                self.flush_window()
-            except RoundFailed:
-                self._buffer = tuple(column[-self.config.window_size :] for column in self._buffer)
-                raise
+            self.flush_window()
         return self
 
     def flush_window(self) -> None:
         """Turn the pending buffer into a training window and run one round.
 
-        A buffer holding a single class cannot support a meaningful round;
-        its instances are dropped with a warning. No-op on an empty buffer.
-        If the round fails, the buffer is retained so the caller can retry,
-        flush later, or resize.
+        The window leaves the buffer whatever the round does: it trains, it
+        holds a single class and is dropped with a warning, or the round
+        fails and RoundFailed propagates with the ensemble and
+        ``windows_completed`` unchanged. No rows are kept for a retry.
+        No-op on an empty buffer.
         """
         if not self.buffer_size:
             return
-        features, labels, missed = self._buffer
+        (features, labels, missed), self._buffer = self._buffer, _EMPTY_BUFFER
         present = np.unique(labels)
         if len(present) < 2:
             logger.warning(
                 "window %d holds only class %d; dropping %d buffered instances",
                 self.windows_completed, present[0], len(labels),
             )
-            self._buffer = _EMPTY_BUFFER
             self.windows_completed += 1
             return
         d0 = WeightDistribution.normalized(np.where(missed, 2.0, 1.0))
         self._train(features, labels, d0)
-        self._buffer = _EMPTY_BUFFER
 
     def _train(self, features, labels, d0: WeightDistribution) -> None:
         """Run one round on a window and add its hypotheses to the ensemble."""

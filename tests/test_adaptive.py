@@ -212,7 +212,7 @@ def per_instance_records(model, chunk, config):
         try:
             model.partial_fit(x[None], [label], [predicted == label])
         except RoundFailed:
-            return records
+            continue
     if model.config.window_size is None:
         try:
             model.flush_window()
@@ -238,15 +238,16 @@ class TestSegmentBatching:
         initial = cluster_chunk("initial", 200, seed=1)
         batched, first, _ = pretrain(initial, config)
         reference, _, _ = pretrain(initial, config)
-        buffers = []
+        buffers, reports = [], []
         for chunk in chunks:
             buffers.append(batched.buffer_size)
-            _, records = process_chunk(batched, chunk, config, [first])
+            report, records = process_chunk(batched, chunk, config, [first])
             assert records == per_instance_records(reference, chunk, config)
             assert len(batched.hypotheses) == len(reference.hypotheses)
             assert batched.buffer_size == reference.buffer_size
             assert batched.windows_completed == reference.windows_completed
-        return buffers
+            reports.append(report)
+        return buffers, reports
 
     def test_chunk_aligned_windows(self):
         chunks = [cluster_chunk("b", 150, seed=2), cluster_chunk("c", 150, seed=3, flip=True)]
@@ -261,10 +262,9 @@ class TestSegmentBatching:
         ]
         self.assert_matches_per_instance(config, chunks)
 
-    def test_failed_round_leaves_length_one_segments(self):
-        # the scrambled head fails the first window's round, which stops the
-        # chunk and keeps a full buffer; the next chunk then starts with a
-        # one-instance segment whose flush succeeds
+    def test_failed_round_drops_its_window(self):
+        # the scrambled head fails the first window's round; that window
+        # leaves the buffer like any other and the chunk goes on
         learnpp = LearnPPConfig(seed=0, window_size=20, error_threshold=0.3, max_retries=3)
         config = RunConfig(learnpp=learnpp, pc_count=2)
         chunks = [
@@ -272,13 +272,19 @@ class TestSegmentBatching:
             cluster_chunk("b", 60, seed=8),
             cluster_chunk("c", 60, seed=9),
         ]
-        buffers = self.assert_matches_per_instance(config, chunks)
-        assert buffers[1] >= learnpp.window_size
+        buffers, reports = self.assert_matches_per_instance(config, chunks)
+        assert reports[0].evaluated_count == 60
+        assert reports[0].error is not None
+        assert buffers[1] < learnpp.window_size
 
-    def test_failed_rounds_keep_buffer_within_window(self):
-        # every round over the random-label chunk fails; the clean chunks
-        # after it must not inherit a buffer that grows by one per chunk
-        learnpp = LearnPPConfig(seed=0, window_size=20, error_threshold=0.3, max_retries=2)
+    @pytest.mark.parametrize("window_size", [20, None])
+    def test_failed_rounds_keep_buffer_within_window(self, window_size):
+        # every round over the random-label chunk fails; its rows must leave
+        # the buffer, so the clean chunks after it are recorded in full and
+        # train on their own rows
+        learnpp = LearnPPConfig(
+            seed=0, window_size=window_size, error_threshold=0.3, max_retries=2
+        )
         config = RunConfig(learnpp=learnpp, pc_count=2)
         model, first, _ = pretrain(cluster_chunk("initial", 200, seed=1), config)
         chunks = [scrambled_head_chunk("a", 60, seed=7, head=60)] + [
@@ -286,10 +292,11 @@ class TestSegmentBatching:
         ]
         errors = []
         for chunk in chunks:
-            report, _ = process_chunk(model, chunk, config, [first])
+            report, records = process_chunk(model, chunk, config, [first])
             errors.append(report.error is not None)
-            assert model.buffer_size <= learnpp.window_size
-        assert errors[0]
+            assert len(records) == len(chunk)
+            assert model.buffer_size == 0
+        assert errors == [True, False, False, False]
 
 
 class TestChunkFailurePolicy:
@@ -377,5 +384,7 @@ class TestRunExperiment:
             RunConfig(pc_count=0)
         with pytest.raises(ValueError):
             RunConfig(drift_f1_drop=0.0)
+        with pytest.raises(ValueError):
+            RunConfig(drift_f1_drop=math.nan)
         with pytest.raises(ValueError):
             RunConfig(drift_baseline_window=0)

@@ -5,6 +5,7 @@ import subprocess
 from collections import Counter
 from typing import get_args, get_type_hints
 
+import numpy as np
 import pytest
 
 from driftpp import adaptive, cli, learnpp
@@ -19,8 +20,8 @@ from driftpp.cli import (
     _load_config,
     main,
 )
-from driftpp.core import PredictionRecord
-from driftpp.data import DriftSpec, StreamSpec
+from driftpp.core import Chunk, PredictionRecord
+from driftpp.data import DriftSpec, StreamSpec, read_chunk_csv, write_chunk_csv
 from driftpp.knn import KnnConfig
 from driftpp.learnpp import LearnPPConfig
 
@@ -278,6 +279,36 @@ class TestRun:
         assert (out_a / "reports.csv").read_bytes() == (out_b / "reports.csv").read_bytes()
         assert (out_a / "records.jsonl").read_bytes() == (out_b / "records.jsonl").read_bytes()
 
+    @pytest.mark.parametrize("window_size", [None, 20], ids=["chunk", "20"])
+    def test_every_instance_recorded_when_rounds_fail(self, tmp_path, capsys, caplog, window_size):
+        # the middle chunk has random labels, so its rounds fail; the
+        # benchmark's output checks must hold all the same
+        stream = generate_stationary(tmp_path, n_chunks=5)
+        noisy = read_chunk_csv(stream / "chunk_002.csv")
+        labels = np.random.default_rng(0).integers(0, 2, len(noisy))
+        write_chunk_csv(Chunk(noisy.id, noisy.features, labels), stream / "chunk_002.csv")
+        window = {} if window_size is None else {"window_size": window_size}
+        cfg = run_config_for(tmp_path, stream, error_threshold=0.3, max_retries=2, **window)
+        out = tmp_path / "results"
+        # the noisy chunk's F1 falls well below the clean ones and alarms
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        # only the noisy chunk's rounds fail; the clean chunks after it train
+        failed = {m.split(":")[0] for m in caplog.messages if "round failed" in m}
+        assert failed == {"chunk chunk_002"}
+
+        records = [json.loads(l) for l in (out / "records.jsonl").read_text().splitlines()]
+        arrived = [(r["chunk_id"], r["index"], r["truth"]) for r in records]
+        expected = []
+        for path in sorted(stream.glob("chunk_*.csv")):
+            chunk = read_chunk_csv(path)
+            expected += [(chunk.id, i, label) for i, label in enumerate(chunk.labels.tolist())]
+        assert arrived == expected
+
+        capsys.readouterr()
+        assert main(["report", str(out / "records.jsonl")]) == 0
+        table = [line.split() for line in capsys.readouterr().out.splitlines() if line]
+        assert table == [line.split(",") for line in (out / "reports.csv").read_text().splitlines()]
+
     def test_missing_chunk_file_named(self, tmp_path, capsys):
         stream = generate_stationary(tmp_path)
         cfg = write_config(
@@ -388,12 +419,16 @@ class TestInputErrors:
         if case == "n_chunks":
             cfg = write_config(tmp_path / "gen.cfg", n_chunks=0, chunk_size=10, dimensionality=3)
             return ["generate", "--config", str(cfg)] + out, str(cfg)
-        if case == "drift_f1_drop":
+        if case == "knn_p":
+            cfg = write_config(tmp_path / "run.cfg", initial_chunk="a.csv", chunks="b.csv", knn_p="nan")
+            return ["run", "--config", str(cfg)] + out, str(cfg)
+        if case.startswith("drift_f1_drop"):
             records = tmp_path / "records.jsonl"
             records.write_text(json.dumps(
                 {"chunk_id": "a", "index": 0, "truth": 1, "predicted": 1, "score": 0.9}
             ) + "\n")
-            return ["report", str(records), "--drift-f1-drop", "-1"], "drift_f1_drop"
+            drop = "nan" if case.endswith("nan") else "-1"
+            return ["report", str(records), "--drift-f1-drop", drop], "drift_f1_drop"
         stream = generate_stationary(tmp_path)
         cfg = write_config(
             tmp_path / "run.cfg",
@@ -403,7 +438,9 @@ class TestInputErrors:
         )
         return ["run", "--config", str(cfg)] + out, "chunk_000"
 
-    @pytest.mark.parametrize("case", ["pc_count", "n_chunks", "drift_f1_drop", "repeated_chunk"])
+    @pytest.mark.parametrize(
+        "case", ["pc_count", "n_chunks", "knn_p", "drift_f1_drop", "drift_f1_drop_nan", "repeated_chunk"]
+    )
     def test_exits_one_with_error_line(self, case, tmp_path, capsys):
         argv, name = self.argv_and_name(case, tmp_path)
         assert main(argv) == 1

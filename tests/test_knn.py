@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -36,8 +38,9 @@ class TestConfig:
             KnnConfig(k=0)
 
     def test_invalid_p(self):
-        with pytest.raises(ValueError):
-            KnnConfig(p=0.5)
+        for p in (0.5, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                KnnConfig(p=p)
 
 
 class TestMinkowskiDistance:
@@ -53,6 +56,11 @@ class TestMinkowskiDistance:
     def test_length_mismatch(self):
         with pytest.raises(DimensionError):
             minkowski_distance([1.0], [1.0, 2.0], 2.0)
+
+    def test_invalid_p(self):
+        for p in (0.5, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                minkowski_distance([0.0, 0.0], [3.0, 4.0], p)
 
     @given(
         p=st.sampled_from([1.0, 1.5, 2.0, 3.0]),

@@ -495,7 +495,7 @@ class TestModel:
                 with pytest.raises(RoundFailed):
                     model.partial_fit(*noise, np.ones(6, dtype=bool))
         n = block.rows_until_flush or len(labels)
-        assert n == (1 if after_failure else 6)
+        assert n == 6
         block.partial_fit(features[:n], labels[:n], was_correct[:n])
         for i in range(n):
             by_row.partial_fit(features[i : i + 1], labels[i : i + 1], was_correct[i : i + 1])
