@@ -83,6 +83,10 @@ class PredictionRecord:
     score: float
 
     def __post_init__(self) -> None:
+        if not isinstance(self.chunk_id, str):
+            raise ValueError(f"chunk_id {self.chunk_id!r} is not a string")
+        if not isinstance(self.index, int) or isinstance(self.index, bool):
+            raise ValueError(f"index {self.index!r} is not an integer")
         for name in ("truth", "predicted"):
             value = getattr(self, name)
             if value not in (0, 1):

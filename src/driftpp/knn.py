@@ -7,12 +7,13 @@ one-row block, ``x[None]``.
 The neighbors of a query are the first k stored points in (distance, stored
 index) order, so distance ties at the neighborhood boundary go to the lower
 stored-point index and results are reproducible regardless of query
-batching. For the Euclidean metric, the squared distance in matrix-product
-form shortlists the points that can be among the k nearest. A row whose
-shortlist holds exactly k points is scored from their labels directly.
-Rows tied or nearly tied at the k-th distance, other metrics and
-non-finite inputs scan every stored point: a stable sort of the row's
-distances, NaN last, gives the (distance, stored index) order.
+batching. For the Euclidean metric, k argmin passes over the squared
+distance in matrix-product form pick each row's k smallest values in place.
+A row whose next smallest value lies beyond a certified rounding margin of
+the k-th is scored from the picked labels directly. Rows tied or nearly
+tied at the k-th distance, other metrics and non-finite inputs scan every
+stored point: a stable sort of the row's distances, NaN last, gives the
+(distance, stored index) order.
 """
 from __future__ import annotations
 
@@ -109,14 +110,30 @@ def _euclidean_positives(
     """Class-1 count among the k nearest points (p=2) of each query row, or
     None when the inputs are not finite, so that a full scan decides.
 
-    The shortlist of a row is every point whose matrix-product value
-    g = |x|^2 - 2 q.x lies within a rounding margin of the row's k-th
-    smallest g. The row-constant |q|^2 is left out of g: it does not change
-    the order of a row. The shortlist is certified to hold all k true
-    neighbors, so a row with exactly k shortlisted points has them as its
-    neighbors and needs only their class-1 count. Only rows with more, that
-    is with points tied or nearly tied at the k-th distance, take the full
-    scan, which ranks every point by exact (distance, index).
+    Each row ranks the points by g = |x|^2 - 2 q.x; the row-constant |q|^2
+    does not change the order of a row. k passes over the block of g each
+    take the row-wise argmin, add that point's label to the row's class-1
+    count, keep its g as g_k and overwrite it with +inf. One row min then
+    gives the (k+1)-th smallest g, which is +inf when n_points == k.
+
+    The certified shortlist {g <= g_k + m}, m >= 0 the rounding margin
+    below, holds every true neighbor and the k picked points. It holds a
+    further point exactly when the (k+1)-th smallest g is at most g_k + m,
+    ties at g_k included; such a row takes the full scan, which ranks every
+    point by exact (distance, index). Any other row's shortlist is the k
+    picked points, so they are its neighbors and their count is its answer.
+    Which of several equal g an argmin picks does not matter: a tie at g_k
+    sends the row to the scan, and every g below g_k is picked.
+
+    Cost. The passes read the block k + 1 times and write only the k
+    picked cells of a row, where np.partition copies the whole block; so
+    they win at small k and lose as k grows. Against np.partition plus the
+    shortlist mask (d = 10, one BLAS thread, BENCH_knn_select.json), k = 3
+    took 0.33x the time at 700 queries x 275 points and 0.63x at 200 x 80.
+    They broke even near k = 5 on 80-point models and k = 10 on 275-point
+    models, and took 3.8x and 2.1x at k = 25. A whole call at 700 x 275,
+    k = 3, also saves the partition's fresh allocation: 0.29x the time. The
+    pipeline, the CLI default and the paper use k = 3.
 
     Rounding bound. Let u = eps/2, gamma_n = n*u/(1 - n*u) and
     R = |q| + max|x|, so that R^2 bounds D^2 and |x|^2 + 2|q||x|. Scaling
@@ -140,7 +157,7 @@ def _euclidean_positives(
     most d*eta and s at most d*eta/2. The margin adds 4(d + 8) eta, which
     covers four times their sum.
     """
-    n_p, d = points.shape
+    d = points.shape[1]
     sq_points = np.einsum("ij,ij->i", points, points)
     sq_block = np.einsum("ij,ij->i", block, block)
     scale = (np.sqrt(sq_block) + np.sqrt(sq_points.max())) ** 2
@@ -149,10 +166,15 @@ def _euclidean_positives(
         return None
     gram = block @ (points.T * -2.0)
     gram += sq_points
-    kth = np.partition(gram, k - 1, axis=1)[:, k - 1]
-    keep = gram <= (kth + 4.0 * (d + 8) * (_EPS * scale + _TINY))[:, None]
-    positives = np.count_nonzero(keep[:, positive], axis=1)
-    wide = np.flatnonzero(np.count_nonzero(keep, axis=1) > k)
+    rows = np.arange(len(block))
+    positives = np.zeros(len(block), dtype=np.int64)
+    for _ in range(k):
+        nearest = gram.argmin(axis=1)
+        positives += positive[nearest]
+        kth = gram[rows, nearest]
+        gram[rows, nearest] = np.inf
+    margin = 4.0 * (d + 8) * (_EPS * scale + _TINY)
+    wide = np.flatnonzero(gram.min(axis=1) <= kth + margin)
     if wide.size:
         positives[wide] = positive[_scan(points, block[wide], k, 2.0)].sum(axis=1)
     return positives

@@ -75,7 +75,9 @@ class LearnPPConfig:
 
     ``window_size=None`` leaves window boundaries to the caller (the chunk
     harness flushes once per chunk, so each chunk becomes one window).
-    ``max_window_ensembles=None`` disables forgetting.
+    ``max_window_ensembles=None`` disables forgetting. A candidate is
+    accepted below ``error_threshold``, which lies in (0, 0.5] so that its
+    normalized error e/(1-e) stays below 1.
     """
 
     n_estimators: int = 3
@@ -91,8 +93,8 @@ class LearnPPConfig:
             raise ValueError(f"n_estimators must be >= 1, got {self.n_estimators}")
         if self.window_size is not None and self.window_size < 1:
             raise ValueError(f"window_size must be >= 1, got {self.window_size}")
-        if not 0.0 < self.error_threshold < 1.0:
-            raise ValueError(f"error_threshold must lie in (0, 1), got {self.error_threshold}")
+        if not 0.0 < self.error_threshold <= 0.5:
+            raise ValueError(f"error_threshold must lie in (0, 0.5], got {self.error_threshold}")
         if self.max_retries < 1:
             raise ValueError(f"max_retries must be >= 1, got {self.max_retries}")
         if self.max_window_ensembles is not None and self.max_window_ensembles < 1:

@@ -410,6 +410,14 @@ class TestReport:
 
 class TestInputErrors:
     @staticmethod
+    def one_record(tmp_path, **fields):
+        """A records file of one valid record, with ``fields`` overriding."""
+        record = {"chunk_id": "a", "index": 0, "truth": 1, "predicted": 1, "score": 0.9}
+        records = tmp_path / "records.jsonl"
+        records.write_text(json.dumps({**record, **fields}) + "\n")
+        return records
+
+    @staticmethod
     def argv_and_name(case, tmp_path):
         """The command line of a bad-input case and a word its error names."""
         out = ["--out", str(tmp_path / "out")]
@@ -419,14 +427,16 @@ class TestInputErrors:
         if case == "n_chunks":
             cfg = write_config(tmp_path / "gen.cfg", n_chunks=0, chunk_size=10, dimensionality=3)
             return ["generate", "--config", str(cfg)] + out, str(cfg)
-        if case == "knn_p":
-            cfg = write_config(tmp_path / "run.cfg", initial_chunk="a.csv", chunks="b.csv", knn_p="nan")
+        if case in ("knn_p", "error_threshold"):
+            bad = {"knn_p": "nan", "error_threshold": 0.9}[case]
+            cfg = write_config(tmp_path / "run.cfg", initial_chunk="a.csv", chunks="b.csv", **{case: bad})
             return ["run", "--config", str(cfg)] + out, str(cfg)
+        if case.startswith("record_"):
+            key = case.removeprefix("record_")
+            records = TestInputErrors.one_record(tmp_path, **{key: {"chunk_id": ["a"], "index": "zz"}[key]})
+            return ["report", str(records)], f"line 1: {key}"
         if case.startswith("drift_f1_drop"):
-            records = tmp_path / "records.jsonl"
-            records.write_text(json.dumps(
-                {"chunk_id": "a", "index": 0, "truth": 1, "predicted": 1, "score": 0.9}
-            ) + "\n")
+            records = TestInputErrors.one_record(tmp_path)
             drop = "nan" if case.endswith("nan") else "-1"
             return ["report", str(records), "--drift-f1-drop", drop], "drift_f1_drop"
         stream = generate_stationary(tmp_path)
@@ -439,7 +449,11 @@ class TestInputErrors:
         return ["run", "--config", str(cfg)] + out, "chunk_000"
 
     @pytest.mark.parametrize(
-        "case", ["pc_count", "n_chunks", "knn_p", "drift_f1_drop", "drift_f1_drop_nan", "repeated_chunk"]
+        "case",
+        [
+            "pc_count", "n_chunks", "knn_p", "error_threshold", "drift_f1_drop", "drift_f1_drop_nan",
+            "record_chunk_id", "record_index", "repeated_chunk",
+        ],
     )
     def test_exits_one_with_error_line(self, case, tmp_path, capsys):
         argv, name = self.argv_and_name(case, tmp_path)

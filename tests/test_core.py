@@ -30,6 +30,13 @@ class TestPredictionRecord:
         with pytest.raises(ValueError):
             PredictionRecord("c", 0, 1, value, 0.5)
 
+    @pytest.mark.parametrize(
+        "chunk_id, index", [(["a"], 0), (None, 0), (1, 0), ("c", "zz"), ("c", True), ("c", 1.0)]
+    )
+    def test_identity_types_enforced(self, chunk_id, index):
+        with pytest.raises(ValueError):
+            PredictionRecord(chunk_id, index, 1, 1, 0.5)
+
 
 class TestChunk:
     def test_feature_matrix_and_labels(self):

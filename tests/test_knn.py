@@ -183,11 +183,15 @@ class TestNeighborSearchExactness:
 
     @staticmethod
     def assert_matches_oracle(model, queries):
+        """The oracle's answer for every query, asked as one block and as
+        one-row blocks."""
         labels, scores = knn_predict_batch(model, queries)
         for i, q in enumerate(queries):
             want_label, want_score = brute_force_predict(model, q)
             assert labels[i] == want_label
             assert scores[i] == want_score
+            one_labels, one_scores = knn_predict_batch(model, q[None])
+            assert (one_labels[0], one_scores[0]) == (want_label, want_score)
 
     @pytest.mark.parametrize("offset", [1e3, 1e6])
     def test_large_offset_coordinates(self, offset):
@@ -199,12 +203,39 @@ class TestNeighborSearchExactness:
         queries = np.vstack([offset + gen.normal(scale=1e-3, size=(30, 5)), rows[:10]])
         self.assert_matches_oracle(model, queries)
 
-    @pytest.mark.parametrize("k", [1, 3, 5, 7])
+    @pytest.mark.parametrize("k", [1, 3, 5, 7, 25])
     def test_integer_grid_with_many_ties(self, k):
         gen = np.random.default_rng(40 + k)
         rows = gen.integers(0, 4, (500, 6)).astype(float)
         model = knn_fit(KnnConfig(k=k), rows, gen.integers(0, 2, 500))
         self.assert_matches_oracle(model, gen.integers(0, 4, (40, 6)).astype(float))
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_models_of_k_and_k_plus_one_points(self, k, extra):
+        # with k points every point is a neighbor and there is no (k+1)-th
+        # value to compare; with k + 1 points exactly one is left out. Grid
+        # rows repeat and half-integer queries sit midway between them
+        gen = np.random.default_rng(80 + 10 * k + extra)
+        rows = gen.integers(0, 2, (k + extra, 3)).astype(float)
+        model = knn_fit(KnnConfig(k=k), rows, gen.integers(0, 2, k + extra))
+        queries = np.vstack([rows, gen.integers(0, 5, (30, 3)) / 2.0, gen.normal(size=(10, 3))])
+        self.assert_matches_oracle(model, queries)
+
+    @given(
+        k=st.integers(min_value=1, max_value=8),
+        d=st.integers(min_value=1, max_value=3),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_small_grids_with_duplicate_points(self, k, d, data):
+        point = st.lists(st.integers(-2, 2).map(float), min_size=d, max_size=d)
+        rows = data.draw(st.lists(point, min_size=1, max_size=12))
+        labels = data.draw(st.lists(st.integers(0, 1), min_size=len(rows), max_size=len(rows)))
+        half_point = st.lists(st.integers(-5, 5).map(lambda v: v / 2.0), min_size=d, max_size=d)
+        queries = data.draw(st.lists(half_point, min_size=1, max_size=6))
+        model = knn_fit(KnnConfig(k=k), rows, labels)
+        self.assert_matches_oracle(model, np.array(queries))
 
     @pytest.mark.parametrize("scale", [1e-161, 1e-162])
     def test_underflowing_squares(self, scale):

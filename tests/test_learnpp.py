@@ -52,6 +52,8 @@ class TestConfig:
             {"error_threshold": 1.0},
             {"max_retries": 0},
             {"max_window_ensembles": 0},
+            {"error_threshold": 0.6},
+            {"error_threshold": 0.9},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
