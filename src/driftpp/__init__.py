@@ -17,7 +17,7 @@ from .core import (
     validate_chunk,
 )
 from .data import DriftSpec, StreamSpec, generate_stream, read_chunk_csv, write_chunk_csv
-from .knn import KnnConfig, KnnModel, knn_fit, knn_predict_batch, minkowski_distance
+from .knn import KnnConfig, KnnModel, knn_fit, knn_predict_batch
 from .learnpp import (
     LearnPPConfig,
     LearnPPModel,
@@ -59,7 +59,6 @@ __all__ = [
     "KnnModel",
     "knn_fit",
     "knn_predict_batch",
-    "minkowski_distance",
     "LearnPPConfig",
     "LearnPPModel",
     "WeakHypothesis",

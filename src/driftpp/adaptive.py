@@ -166,12 +166,12 @@ def _reduce_valid(chunk: Chunk, pc_count: int) -> Chunk | str:
     """The chunk through :func:`reduce_chunk`, or a note saying why it fails
     validation (its violation count and the first one) or cannot be
     reduced."""
-    violations = validate_chunk(chunk).violations
+    violations = validate_chunk(chunk)
     if violations:
-        first = violations[0]
+        index, reason = violations[0]
         return (
             f"chunk {chunk.id} is invalid ({len(violations)} violations; "
-            f"first at instance {first.index}: {first.reason})"
+            f"first at instance {index}: {reason})"
         )
     try:
         return reduce_chunk(chunk, pc_count)

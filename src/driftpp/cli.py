@@ -86,12 +86,20 @@ _NONE_SPELLINGS = {"window_size": "chunk", "max_window_ensembles": "unbounded"}
 REPORT_COLUMNS = ["id", "f1", "auc", "fnr", "correct", "incorrect", "percent_correct", "drift_alarm"]
 
 
+def _read_text(path: Path) -> str:
+    """The contents of a UTF-8 text file, newlines translated to ``\\n``."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def _load_config(path: Path, kinds: dict[str, type], required: tuple[str, ...]) -> dict:
     """Read a key=value config file into values of each key's type."""
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     values: dict = {}
-    for line_no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for line_no, line in enumerate(_read_text(path).splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -274,22 +282,21 @@ def cmd_report(args: argparse.Namespace) -> int:
     if not records_path.is_file():
         raise ConfigError(f"records file not found: {records_path}")
     grouped: dict[str, list[PredictionRecord]] = {}
-    with records_path.open("r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                payload = json.loads(line)
-                record = PredictionRecord(
-                    chunk_id=payload["chunk_id"],
-                    index=payload["index"],
-                    truth=payload["truth"],
-                    predicted=payload["predicted"],
-                    score=payload["score"],
-                )
-            except (ValueError, KeyError, TypeError) as exc:
-                raise ConfigError(f"{records_path}: line {line_no}: {exc}") from None
-            grouped.setdefault(record.chunk_id, []).append(record)
+    for line_no, line in enumerate(_read_text(records_path).split("\n"), start=1):
+        if not line.strip():
+            continue
+        try:
+            payload = json.loads(line)
+            record = PredictionRecord(
+                chunk_id=payload["chunk_id"],
+                index=payload["index"],
+                truth=payload["truth"],
+                predicted=payload["predicted"],
+                score=payload["score"],
+            )
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ConfigError(f"{records_path}: line {line_no}: {exc}") from None
+        grouped.setdefault(record.chunk_id, []).append(record)
     if not grouped:
         print("no records")
         return 0
@@ -338,8 +345,9 @@ def main(argv: list[str] | None = None) -> int:
     except DriftppError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
-        print(f"error: file not found: {exc.filename}", file=sys.stderr)
+    except OSError as exc:
+        reason = f"file not found: {exc.filename}" if isinstance(exc, FileNotFoundError) else exc
+        print(f"error: {reason}", file=sys.stderr)
         return 1
 
 

@@ -4,8 +4,9 @@ A stream arrives as ordered chunks of labeled instances. A chunk is
 columnar: an (n, d) float64 feature matrix and an (n,) int64 label vector,
 and an instance is a row of both, its index the row position. Everything
 downstream (PCA, weak learners, ensemble rounds, the evaluation harness)
-passes these arrays along. All types here are immutable after construction
-and safe to share between threads.
+passes these arrays along. :func:`validate_chunk` reports non-finite
+features as (index, reason) pairs rather than raising. All types here are
+immutable after construction and safe to share between threads.
 """
 from __future__ import annotations
 
@@ -15,14 +16,7 @@ import numpy as np
 
 from .errors import DimensionError
 
-__all__ = [
-    "Chunk",
-    "PredictionRecord",
-    "ChunkViolation",
-    "ValidationResult",
-    "validate_chunk",
-    "standardize_chunk",
-]
+__all__ = ["Chunk", "PredictionRecord", "validate_chunk", "standardize_chunk"]
 
 
 def _frozen_array(values, dtype) -> np.ndarray:
@@ -72,8 +66,9 @@ class PredictionRecord:
 
     ``truth`` and ``predicted`` are stored as plain ints; a value that does
     not equal 0 or 1 is rejected. ``score`` is the ensemble's confidence for
-    class 1, in [0, 1]. The predicted label is 1 exactly when the class-1
-    vote mass exceeds the class-0 vote mass; a tied vote resolves to 0.
+    class 1, a number in [0, 1] stored as a float; a string or a bool is
+    rejected. The predicted label is 1 exactly when the class-1 vote mass
+    exceeds the class-0 vote mass; a tied vote resolves to 0.
     """
 
     chunk_id: str
@@ -92,39 +87,25 @@ class PredictionRecord:
             if value not in (0, 1):
                 raise ValueError(f"{name} {value!r} is not 0 or 1")
             object.__setattr__(self, name, int(value))
+        if isinstance(self.score, (str, bool)):
+            raise ValueError(f"score {self.score!r} is not a number")
         score = float(self.score)
         if not 0.0 <= score <= 1.0:
             raise ValueError(f"score {score} outside [0, 1]")
         object.__setattr__(self, "score", score)
 
 
-@dataclass(frozen=True)
-class ChunkViolation:
-    """One defect found in a chunk: the offending instance position and why."""
-
-    index: int
-    reason: str
-
-
-@dataclass(frozen=True)
-class ValidationResult:
-    violations: tuple[ChunkViolation, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def validate_chunk(chunk: Chunk) -> ValidationResult:
-    """Report every instance with a non-finite feature, naming its first
-    non-finite column (NaN reported distinctly), as data."""
+def validate_chunk(chunk: Chunk) -> tuple[tuple[int, str], ...]:
+    """Report every instance with a non-finite feature as an (index, reason)
+    pair naming its first non-finite column (NaN reported distinctly), as
+    data; an empty tuple means the chunk is valid."""
     finite = np.isfinite(chunk.features)
     violations = []
     for pos in np.flatnonzero(~finite.all(axis=1)).tolist():
         col = int(np.argmin(finite[pos]))
         kind = "NaN" if np.isnan(chunk.features[pos, col]) else "non-finite"
-        violations.append(ChunkViolation(pos, f"{kind} feature at column {col}"))
-    return ValidationResult(tuple(violations))
+        violations.append((pos, f"{kind} feature at column {col}"))
+    return tuple(violations)
 
 
 def standardize_chunk(chunk: Chunk) -> Chunk:

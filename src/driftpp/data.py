@@ -89,19 +89,20 @@ def read_chunk_csv(path, has_header: bool = True) -> Chunk:
     """Parse a chunk file. The chunk id is the file's stem.
 
     Raises RaggedRowError on inconsistent column counts, LabelError on a
-    label outside {0, 1}, and ChunkFormatError on anything else, always
-    naming the offending 1-based row.
+    label outside {0, 1}, and ChunkFormatError on anything else, naming the
+    offending 1-based row, or only the file when it is not UTF-8 text.
     """
     path = Path(path)
-    table = _load_table(path, has_header)
-    features, labels = table if table is not None else _parse_rows(path, has_header)
+    try:
+        table = _load_table(path, has_header)
+        features, labels = table if table is not None else _parse_rows(path, has_header)
+    except UnicodeDecodeError as exc:
+        raise ChunkFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
     chunk = Chunk(path.stem, features, labels)
-    result = validate_chunk(chunk)
-    if not result.ok:
-        first = result.violations[0]
-        raise ChunkFormatError(
-            f"{path}: row {first.index + (2 if has_header else 1)}: {first.reason}"
-        )
+    violations = validate_chunk(chunk)
+    if violations:
+        index, reason = violations[0]
+        raise ChunkFormatError(f"{path}: row {index + (2 if has_header else 1)}: {reason}")
     return chunk
 
 

@@ -1,4 +1,4 @@
-"""K-nearest-neighbor weak learner over a Minkowski metric.
+"""K-nearest-neighbor weak learner over Euclidean distance.
 
 :func:`knn_predict_batch` is the one prediction entry point: it takes an
 (n, d) query block and returns (labels, scores) arrays; a single query is a
@@ -7,13 +7,12 @@ one-row block, ``x[None]``.
 The neighbors of a query are the first k stored points in (distance, stored
 index) order, so distance ties at the neighborhood boundary go to the lower
 stored-point index and results are reproducible regardless of query
-batching. For the Euclidean metric, k argmin passes over the squared
-distance in matrix-product form pick each row's k smallest values in place.
-A row whose next smallest value lies beyond a certified rounding margin of
-the k-th is scored from the picked labels directly. Rows tied or nearly
-tied at the k-th distance, other metrics and non-finite inputs scan every
-stored point: a stable sort of the row's distances, NaN last, gives the
-(distance, stored index) order.
+batching. k argmin passes over the squared distance in matrix-product form
+pick each row's k smallest values in place. A row whose next smallest value
+lies beyond a certified rounding margin of the k-th is scored from the
+picked labels directly. Rows tied or nearly tied at the k-th distance and
+blocks with non-finite inputs scan every stored point: a stable sort of the
+row's exact distances, NaN last, gives the (distance, stored index) order.
 """
 from __future__ import annotations
 
@@ -23,7 +22,7 @@ import numpy as np
 
 from .errors import DimensionError, EmptyTrainingSet
 
-__all__ = ["KnnConfig", "KnnModel", "minkowski_distance", "knn_fit", "knn_predict_batch"]
+__all__ = ["KnnConfig", "KnnModel", "knn_fit", "knn_predict_batch"]
 
 # cap on scratch memory per block of query rows, in float64 cells
 _BLOCK_CELLS = 2_000_000
@@ -32,22 +31,13 @@ _EPS = np.finfo(np.float64).eps
 _TINY = np.finfo(np.float64).smallest_subnormal
 
 
-def _check_p(p: float) -> None:
-    """Reject a Minkowski order outside [1, inf); NaN or infinity would make
-    every distance equal."""
-    if not 1.0 <= p < np.inf:
-        raise ValueError(f"p must lie in [1, inf), got {p}")
-
-
 @dataclass(frozen=True)
 class KnnConfig:
     k: int = 3
-    p: float = 2.0
 
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
-        _check_p(self.p)
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,47 +57,25 @@ class KnnModel:
         return self.features.shape[1]
 
 
-def minkowski_distance(a, b, p: float = 2.0) -> float:
-    """(sum_i |a_i - b_i|^p)^(1/p) for two equal-length vectors, p in [1, inf)."""
-    _check_p(p)
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 1:
-        raise DimensionError(f"vector shapes differ: {a.shape} vs {b.shape}")
-    return float(_pairwise(a[None, :], b[None, :], p)[0, 0])
+def _scan(points: np.ndarray, block: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the k nearest points of each query row by a full scan of
+    exact distances, shape (n_rows, k).
 
-
-def _minkowski(diff: np.ndarray, p: float) -> np.ndarray:
-    """Reduce coordinate differences |q - x| over the last axis to distances.
-
-    Each (query, point) pair is reduced on its own, so the result for a pair
-    does not depend on which other pairs share the array.
+    Each (query, point) distance is reduced on its own, so it does not depend
+    on which other rows share the block. The order is by distance, not its
+    square: the square root can round two distinct squared distances to one
+    value, a tie that goes to the lower index. Scratch memory is
+    n_rows * n_points * d cells; callers pass row blocks.
     """
-    if p == 2.0:
-        return np.sqrt((diff * diff).sum(axis=-1))
-    if p == 1.0:
-        return diff.sum(axis=-1)
-    return (diff**p).sum(axis=-1) ** (1.0 / p)
-
-
-def _pairwise(points: np.ndarray, queries: np.ndarray, p: float) -> np.ndarray:
-    """Distances from every query row to every stored row, shape (n_q, n_p).
-
-    Scratch memory is n_q * n_p * d cells; callers pass row blocks.
-    """
-    return _minkowski(np.abs(queries[:, None, :] - points[None, :, :]), p)
-
-
-def _scan(points: np.ndarray, block: np.ndarray, k: int, p: float) -> np.ndarray:
-    """Indices of the k nearest points of each query row by a full scan,
-    shape (n_rows, k)."""
-    return np.argsort(_pairwise(points, block, p), axis=1, kind="stable")[:, :k]
+    diff = block[:, None, :] - points[None, :, :]
+    distances = np.sqrt((diff * diff).sum(axis=-1))
+    return np.argsort(distances, axis=1, kind="stable")[:, :k]
 
 
 def _euclidean_positives(
     points: np.ndarray, positive: np.ndarray, block: np.ndarray, k: int
 ) -> np.ndarray | None:
-    """Class-1 count among the k nearest points (p=2) of each query row, or
+    """Class-1 count among the k nearest points of each query row, or
     None when the inputs are not finite, so that a full scan decides.
 
     Each row ranks the points by g = |x|^2 - 2 q.x; the row-constant |q|^2
@@ -176,7 +144,7 @@ def _euclidean_positives(
     margin = 4.0 * (d + 8) * (_EPS * scale + _TINY)
     wide = np.flatnonzero(gram.min(axis=1) <= kth + margin)
     if wide.size:
-        positives[wide] = positive[_scan(points, block[wide], k, 2.0)].sum(axis=1)
+        positives[wide] = positive[_scan(points, block[wide], k)].sum(axis=1)
     return positives
 
 
@@ -211,16 +179,16 @@ def knn_predict_batch(model: KnnModel, queries: np.ndarray) -> tuple[np.ndarray,
         raise DimensionError(
             f"query shape {queries.shape} does not match model dimensionality {model.dimensionality}"
         )
-    points, p = model.features, model.config.p
+    points = model.features
     positive = model.labels == 1
     k = min(model.config.k, model.n_points)
     positives = np.empty(len(queries), dtype=np.int64)
     step = max(1, _BLOCK_CELLS // max(1, points.size))
     for start in range(0, len(queries), step):
         block = queries[start : start + step]
-        counts = _euclidean_positives(points, positive, block, k) if p == 2.0 else None
+        counts = _euclidean_positives(points, positive, block, k)
         if counts is None:
-            counts = positive[_scan(points, block, k, p)].sum(axis=1)
+            counts = positive[_scan(points, block, k)].sum(axis=1)
         positives[start : start + step] = counts
     scores = positives / k
     labels = (scores > 0.5).astype(np.int64)

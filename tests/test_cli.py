@@ -1,8 +1,10 @@
 import json
 import hashlib
+import re
 import shutil
 import subprocess
 from collections import Counter
+from pathlib import Path
 from typing import get_args, get_type_hints
 
 import numpy as np
@@ -122,12 +124,12 @@ class TestParseConfig:
     def test_set_keys_reach_their_fields(self, tmp_path):
         cfg = write_config(
             tmp_path / "run.cfg", initial_chunk="a.csv", chunks="b.csv", pc_count=4,
-            window_size="chunk", max_window_ensembles=2, knn_k=5, knn_p=1.0, seed=7,
+            window_size="chunk", max_window_ensembles=2, knn_k=5, seed=7,
             drift_baseline_window=2,
         )
         values = _load_config(cfg, _RUN_KEYS, _RUN_REQUIRED)
         want = RunConfig(
-            learnpp=LearnPPConfig(max_window_ensembles=2, knn=KnnConfig(k=5, p=1.0), seed=7),
+            learnpp=LearnPPConfig(max_window_ensembles=2, knn=KnnConfig(k=5), seed=7),
             pc_count=4,
             drift_baseline_window=2,
         )
@@ -168,7 +170,6 @@ class TestParseConfig:
             "max_retries": int,
             "max_window_ensembles": int,
             "knn_k": int,
-            "knn_p": float,
             "seed": int,
             "drift_f1_drop": float,
             "drift_baseline_window": int,
@@ -188,6 +189,14 @@ class TestParseConfig:
         assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert f"{cfg}:2" in err and "chunk_size" in err
+
+    def test_readme_lists_the_run_keys(self):
+        # the README's "Run keys:" paragraph names every run key once, and
+        # nothing else, so that a field added to or removed from a config
+        # dataclass shows up here
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        paragraph = next(block for block in readme.split("\n\n") if block.startswith("Run keys:"))
+        assert sorted(re.findall(r"`([^`]+)`", paragraph)) == sorted(_RUN_KEYS)
 
 
 class TestRun:
@@ -427,32 +436,51 @@ class TestInputErrors:
         if case == "n_chunks":
             cfg = write_config(tmp_path / "gen.cfg", n_chunks=0, chunk_size=10, dimensionality=3)
             return ["generate", "--config", str(cfg)] + out, str(cfg)
-        if case in ("knn_p", "error_threshold"):
-            bad = {"knn_p": "nan", "error_threshold": 0.9}[case]
+        if case in ("knn_k", "error_threshold"):
+            bad = {"knn_k": 0, "error_threshold": 0.9}[case]
             cfg = write_config(tmp_path / "run.cfg", initial_chunk="a.csv", chunks="b.csv", **{case: bad})
             return ["run", "--config", str(cfg)] + out, str(cfg)
         if case.startswith("record_"):
             key = case.removeprefix("record_")
-            records = TestInputErrors.one_record(tmp_path, **{key: {"chunk_id": ["a"], "index": "zz"}[key]})
+            bad = {"chunk_id": ["a"], "index": "zz", "score": "0.5"}[key]
+            records = TestInputErrors.one_record(tmp_path, **{key: bad})
             return ["report", str(records)], f"line 1: {key}"
+        if case == "config_not_utf8":
+            cfg = tmp_path / "run.cfg"
+            cfg.write_bytes(b"initial_chunk = a.csv\nchunks = b\xe9.csv\n")
+            return ["run", "--config", str(cfg)] + out, f"{cfg}: not UTF-8"
+        if case == "records_not_utf8":
+            records = TestInputErrors.one_record(tmp_path)
+            records.write_bytes(records.read_bytes() + b"\xff\n")
+            return ["report", str(records)], f"{records}: not UTF-8"
         if case.startswith("drift_f1_drop"):
             records = TestInputErrors.one_record(tmp_path)
             drop = "nan" if case.endswith("nan") else "-1"
             return ["report", str(records), "--drift-f1-drop", drop], "drift_f1_drop"
         stream = generate_stationary(tmp_path)
-        cfg = write_config(
-            tmp_path / "run.cfg",
-            initial_chunk=f"{stream.name}/chunk_000.csv",
-            chunks=f"{stream.name}/chunk_001.csv,{stream.name}/chunk_000.csv",
-            pc_count=2,
-        )
-        return ["run", "--config", str(cfg)] + out, "chunk_000"
+        if case == "repeated_chunk":
+            cfg = write_config(
+                tmp_path / "run.cfg",
+                initial_chunk=f"{stream.name}/chunk_000.csv",
+                chunks=f"{stream.name}/chunk_001.csv,{stream.name}/chunk_000.csv",
+                pc_count=2,
+            )
+            return ["run", "--config", str(cfg)] + out, "chunk_000"
+        cfg = run_config_for(tmp_path, stream)
+        if case == "chunk_not_utf8":
+            chunk = stream / "chunk_002.csv"
+            chunk.write_bytes(chunk.read_bytes() + b"\xff,1\n")
+            return ["run", "--config", str(cfg)] + out, f"{chunk}: not UTF-8"
+        # the output directory's path is taken by a file
+        (tmp_path / "out").write_text("a file\n")
+        return ["run", "--config", str(cfg)] + out, str(tmp_path / "out")
 
     @pytest.mark.parametrize(
         "case",
         [
-            "pc_count", "n_chunks", "knn_p", "error_threshold", "drift_f1_drop", "drift_f1_drop_nan",
-            "record_chunk_id", "record_index", "repeated_chunk",
+            "pc_count", "n_chunks", "knn_k", "error_threshold", "drift_f1_drop", "drift_f1_drop_nan",
+            "record_chunk_id", "record_index", "repeated_chunk", "record_score", "config_not_utf8",
+            "records_not_utf8", "chunk_not_utf8", "out_is_a_file",
         ],
     )
     def test_exits_one_with_error_line(self, case, tmp_path, capsys):

@@ -37,6 +37,16 @@ class TestPredictionRecord:
         with pytest.raises(ValueError):
             PredictionRecord(chunk_id, index, 1, 1, 0.5)
 
+    @pytest.mark.parametrize("score", ["0.5", "1", True, False])
+    def test_string_or_bool_score_rejected(self, score):
+        with pytest.raises(ValueError, match="is not a number"):
+            PredictionRecord("c", 0, 1, 1, score)
+
+    @pytest.mark.parametrize("score", [0, 1, 0.5, np.float64(0.25), np.float32(0.75)])
+    def test_real_score_stored_as_float(self, score):
+        record = PredictionRecord("c", 0, 1, 1, score)
+        assert type(record.score) is float and record.score == score
+
 
 class TestChunk:
     def test_feature_matrix_and_labels(self):
@@ -88,22 +98,21 @@ class TestChunk:
 class TestValidateChunk:
     def test_consistent_chunk_is_ok(self):
         chunk = Chunk("c", np.ones((3, 5)), [0, 1, 0])
-        assert validate_chunk(chunk).ok
+        assert validate_chunk(chunk) == ()
 
     def test_nan_cited_distinctly(self):
         chunk = Chunk("c", [[1.0, np.nan], [0.0, 0.0]], [0, 1])
-        result = validate_chunk(chunk)
-        assert any("NaN" in v.reason for v in result.violations)
+        violations = validate_chunk(chunk)
+        assert any("NaN" in reason for _, reason in violations)
 
     def test_infinity_reported_as_non_finite(self):
         chunk = Chunk("c", [[np.inf, 1.0]], [0])
-        result = validate_chunk(chunk)
-        assert any("non-finite" in v.reason for v in result.violations)
+        violations = validate_chunk(chunk)
+        assert any("non-finite" in reason for _, reason in violations)
 
     def test_one_violation_per_bad_row_at_its_first_bad_column(self):
         chunk = Chunk("c", [[0.0, 0.0, 0.0], [1.0, -np.inf, np.nan], [np.nan, np.inf, 0.0]], [0, 1, 0])
-        result = validate_chunk(chunk)
-        assert [(v.index, v.reason) for v in result.violations] == [
+        assert list(validate_chunk(chunk)) == [
             (1, "non-finite feature at column 1"),
             (2, "NaN feature at column 0"),
         ]

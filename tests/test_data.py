@@ -109,6 +109,15 @@ class TestReadChunkCsv:
         path.write_text("f0,label\n1.0,0\n\n2.0,1\n")
         assert len(read_chunk_csv(path)) == 2
 
+    @pytest.mark.parametrize("rows_before", [0, 2000])
+    def test_bytes_that_are_not_utf8_name_the_file(self, tmp_path, rows_before):
+        # a bad byte in the first read buffer fails the header; one past it
+        # fails inside np.loadtxt and then in the row loop
+        path = tmp_path / "x.csv"
+        path.write_bytes(b"f0,label\n" + b"1.0,0\n" * rows_before + b"\xff,1\n")
+        with pytest.raises(ChunkFormatError, match=f"{path}: not UTF-8 text"):
+            read_chunk_csv(path)
+
 
 class TestReadPathParity:
     """read_chunk_csv takes a well-formed file whole with np.loadtxt and

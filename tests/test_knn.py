@@ -1,25 +1,20 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from driftpp.errors import DimensionError, EmptyTrainingSet
-from driftpp.knn import (
-    KnnConfig,
-    knn_fit,
-    knn_predict_batch,
-    minkowski_distance,
-)
+from driftpp.knn import KnnConfig, knn_fit, knn_predict_batch
+
+
+def euclidean(a, b):
+    """Distance between two vectors, computed independently of the kernel."""
+    return float(np.sqrt(((np.asarray(a) - np.asarray(b)) ** 2).sum()))
 
 
 def brute_force_predict(model, x):
     """Reference predictor: sort all (distance, index) pairs, vote the top
     min(k, n). Ties at equal distance go to the lower stored index."""
-    dists = [
-        (minkowski_distance(model.features[i], x, model.config.p), i)
-        for i in range(model.n_points)
-    ]
+    dists = [(euclidean(model.features[i], x), i) for i in range(model.n_points)]
     dists.sort()
     k = min(model.config.k, model.n_points)
     votes = [int(model.labels[i]) for _, i in dists[:k]]
@@ -29,52 +24,11 @@ def brute_force_predict(model, x):
 
 class TestConfig:
     def test_defaults(self):
-        config = KnnConfig()
-        assert config.k == 3
-        assert config.p == 2.0
+        assert KnnConfig().k == 3
 
     def test_invalid_k(self):
         with pytest.raises(ValueError):
             KnnConfig(k=0)
-
-    def test_invalid_p(self):
-        for p in (0.5, math.nan, math.inf):
-            with pytest.raises(ValueError):
-                KnnConfig(p=p)
-
-
-class TestMinkowskiDistance:
-    def test_euclidean_345_triangle(self):
-        assert minkowski_distance([0.0, 0.0], [3.0, 4.0], 2.0) == 5.0
-
-    def test_identical_vectors(self):
-        assert minkowski_distance([1.0, 2.0], [1.0, 2.0], 2.0) == 0.0
-
-    def test_manhattan(self):
-        assert minkowski_distance([0.0, 0.0], [3.0, 4.0], 1.0) == 7.0
-
-    def test_length_mismatch(self):
-        with pytest.raises(DimensionError):
-            minkowski_distance([1.0], [1.0, 2.0], 2.0)
-
-    def test_invalid_p(self):
-        for p in (0.5, math.nan, math.inf):
-            with pytest.raises(ValueError):
-                minkowski_distance([0.0, 0.0], [3.0, 4.0], p)
-
-    @given(
-        p=st.sampled_from([1.0, 1.5, 2.0, 3.0]),
-        seed=st.integers(min_value=0, max_value=10_000),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_metric_axioms(self, p, seed):
-        gen = np.random.default_rng(seed)
-        a, b, c = gen.normal(size=(3, 5))
-        d_ab = minkowski_distance(a, b, p)
-        assert d_ab >= 0.0
-        assert d_ab == minkowski_distance(b, a, p)
-        assert minkowski_distance(a, a, p) == 0.0
-        assert d_ab <= minkowski_distance(a, c, p) + minkowski_distance(c, b, p) + 1e-9
 
 
 class TestFit:
@@ -262,7 +216,7 @@ class TestNeighborSearchExactness:
         ]))
         kth_ties = []
         for q in queries:
-            dists = sorted(minkowski_distance(row, q) for row in rows)
+            dists = sorted(euclidean(row, q) for row in rows)
             kth_ties.append(dists[k - 1] == dists[k])
         assert any(kth_ties) and not all(kth_ties)
         self.assert_matches_oracle(model, queries)
@@ -272,13 +226,25 @@ class TestNeighborSearchExactness:
             assert one_labels[0] == labels[i]
             assert one_scores[0] == scores[i]
 
-    @pytest.mark.parametrize("p", [1.0, 3.0])
-    def test_full_scan_metrics(self, p):
-        gen = np.random.default_rng(int(p))
+    def test_block_with_a_nan_row_takes_the_full_scan(self):
+        # one NaN row sends its whole block to the scan, so the finite rows
+        # beside it, ties on the integer grid among them, are ranked there
+        gen = np.random.default_rng(1)
         rows = np.vstack([gen.normal(size=(150, 4)), gen.integers(0, 3, (50, 4))])
-        model = knn_fit(KnnConfig(k=5, p=p), rows, gen.integers(0, 2, 200))
+        model = knn_fit(KnnConfig(k=5), rows, gen.integers(0, 2, 200))
         queries = np.vstack([gen.normal(size=(20, 4)), gen.integers(0, 3, (20, 4))])
+        labels, scores = knn_predict_batch(model, np.vstack([queries, np.full((1, 4), np.nan)]))
+        for i, q in enumerate(queries):
+            assert (labels[i], scores[i]) == brute_force_predict(model, q)
+        assert scores[-1] == model.labels[:5].sum() / 5
         self.assert_matches_oracle(model, queries)
+
+    def test_equal_distances_with_distinct_squares_tie(self):
+        # 1 + 2**-52 and 1 are distinct squared distances whose square roots
+        # both round to 1.0: a distance tie, which goes to the lower index
+        model = knn_fit(KnnConfig(k=1), [[1.0, 2.0**-26], [1.0, 0.0]], [0, 1])
+        assert euclidean([0.0, 0.0], [1.0, 2.0**-26]) == euclidean([0.0, 0.0], [1.0, 0.0])
+        self.assert_matches_oracle(model, np.zeros((1, 2)))
 
     def test_nan_query_takes_first_stored_points(self):
         # every distance is NaN, which a stable sort leaves in stored order
