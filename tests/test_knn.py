@@ -226,14 +226,16 @@ class TestNeighborSearchExactness:
             assert one_labels[0] == labels[i]
             assert one_scores[0] == scores[i]
 
-    def test_block_with_a_nan_row_takes_the_full_scan(self):
-        # one NaN row sends its whole block to the scan, so the finite rows
-        # beside it, ties on the integer grid among them, are ranked there
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_block_with_a_non_finite_row_takes_the_full_scan(self, bad):
+        # one NaN or infinite row sends its whole block to the scan, so the
+        # finite rows beside it, ties on the integer grid among them, are
+        # ranked there; the bad row's distances are all NaN or all infinite
         gen = np.random.default_rng(1)
         rows = np.vstack([gen.normal(size=(150, 4)), gen.integers(0, 3, (50, 4))])
         model = knn_fit(KnnConfig(k=5), rows, gen.integers(0, 2, 200))
         queries = np.vstack([gen.normal(size=(20, 4)), gen.integers(0, 3, (20, 4))])
-        labels, scores = knn_predict_batch(model, np.vstack([queries, np.full((1, 4), np.nan)]))
+        labels, scores = knn_predict_batch(model, np.vstack([queries, np.full((1, 4), bad)]))
         for i, q in enumerate(queries):
             assert (labels[i], scores[i]) == brute_force_predict(model, q)
         assert scores[-1] == model.labels[:5].sum() / 5
