@@ -3,11 +3,12 @@
 Configs are flat key=value text files, one pair per line, with # comments.
 Their keys are the fields of the library's config dataclasses: for a run,
 those of RunConfig and LearnPPConfig as named and KnnConfig's with the
-prefix ``knn_``, plus ``initial_chunk``, ``chunks`` and ``has_header``; for
-generate, those of StreamSpec and DriftSpec's with the prefix ``drift_``.
+prefix ``knn_``, plus ``initial_chunk`` and ``chunks``; for generate,
+those of StreamSpec and DriftSpec's with the prefix ``drift_``.
 ``window_size = chunk`` and ``max_window_ensembles = unbounded`` spell
-None. Paths inside a config resolve relative to the config file. The
-DRIFTPP_LOG environment variable (error|warn|info|debug) sets the log level.
+None. Paths inside a config resolve relative to the config file. Every
+input file is decoded by :func:`driftpp.data.read_text`. The DRIFTPP_LOG
+environment variable (error|warn|info|debug) sets the log level.
 
 Exit codes: 0 success, 1 error, 2 success with at least one drift alarm.
 """
@@ -28,7 +29,7 @@ from typing import get_args, get_type_hints
 
 from .adaptive import ChunkReport, RunConfig, chunk_report, run_experiment
 from .core import PredictionRecord
-from .data import StreamSpec, generate_stream, read_chunk_csv, write_chunk_csv
+from .data import StreamSpec, generate_stream, read_chunk_csv, read_text, write_chunk_csv
 from .errors import ConfigError, DriftppError
 
 __all__ = ["main", "cmd_generate", "cmd_run", "cmd_report"]
@@ -77,7 +78,7 @@ def _build(cls, values: dict, prefix: str = ""):
 
 # a key left out keeps the default of the field or parameter it sets
 _GENERATE_KEYS, _GENERATE_REQUIRED = _schema(StreamSpec)
-_RUN_KEYS = {"initial_chunk": str, "chunks": str, **_schema(RunConfig)[0], "has_header": bool}
+_RUN_KEYS = {"initial_chunk": str, "chunks": str, **_schema(RunConfig)[0]}
 _RUN_REQUIRED = ("initial_chunk", "chunks")
 
 # the words that spell None for these keys
@@ -86,20 +87,10 @@ _NONE_SPELLINGS = {"window_size": "chunk", "max_window_ensembles": "unbounded"}
 REPORT_COLUMNS = ["id", "f1", "auc", "fnr", "correct", "incorrect", "percent_correct", "drift_alarm"]
 
 
-def _read_text(path: Path) -> str:
-    """The contents of a UTF-8 text file, newlines translated to ``\\n``."""
-    try:
-        return path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
-
-
 def _load_config(path: Path, kinds: dict[str, type], required: tuple[str, ...]) -> dict:
     """Read a key=value config file into values of each key's type."""
-    if not path.is_file():
-        raise ConfigError(f"config file not found: {path}")
     values: dict = {}
-    for line_no, line in enumerate(_read_text(path).splitlines(), start=1):
+    for line_no, line in enumerate(read_text(path, ConfigError).splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -150,9 +141,7 @@ def _resolve_chunk_paths(raw: str, base: Path) -> list[Path]:
         part = part.strip()
         if not part:
             continue
-        candidate = Path(part)
-        if not candidate.is_absolute():
-            candidate = base / candidate
+        candidate = base / part
         if any(ch in part for ch in "*?["):
             matches = sorted(globlib.glob(str(candidate)))
             if not matches:
@@ -225,26 +214,18 @@ def cmd_run(args: argparse.Namespace) -> int:
         values["seed"] = args.seed
     with _checked_values(config_path):
         config = _build(RunConfig, values)
+    # config paths are relative to the config file; `/` keeps an absolute one
     base = config_path.parent
-    header = {"has_header": values["has_header"]} if "has_header" in values else {}
-
-    initial_path = Path(values["initial_chunk"])
-    if not initial_path.is_absolute():
-        initial_path = base / initial_path
-    if not initial_path.is_file():
-        raise ConfigError(f"initial chunk file not found: {initial_path}")
+    initial_path = base / values["initial_chunk"]
     chunk_paths = _resolve_chunk_paths(values["chunks"], base)
-    for path in chunk_paths:
-        if not path.is_file():
-            raise ConfigError(f"chunk file not found: {path}")
     # a chunk's id is its file's stem, and run_experiment needs them unique
     stems = Counter(path.stem for path in [initial_path] + chunk_paths)
     repeated = sorted(stem for stem, count in stems.items() if count > 1)
     if repeated:
         raise ConfigError(f"{config_path}: chunk file names repeat: {repeated}")
 
-    initial = read_chunk_csv(initial_path, **header)
-    chunks = [read_chunk_csv(path, **header) for path in chunk_paths]
+    initial = read_chunk_csv(initial_path)
+    chunks = [read_chunk_csv(path) for path in chunk_paths]
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -279,10 +260,10 @@ def cmd_report(args: argparse.Namespace) -> int:
     with _checked_values("report options"):
         config = _build(RunConfig, vars(args))
     records_path = Path(args.records)
-    if not records_path.is_file():
-        raise ConfigError(f"records file not found: {records_path}")
+    # one run's records: each chunk's lines together, indexed 0, 1, 2, ...
     grouped: dict[str, list[PredictionRecord]] = {}
-    for line_no, line in enumerate(_read_text(records_path).split("\n"), start=1):
+    previous = None
+    for line_no, line in enumerate(read_text(records_path, ConfigError).split("\n"), start=1):
         if not line.strip():
             continue
         try:
@@ -296,7 +277,18 @@ def cmd_report(args: argparse.Namespace) -> int:
             )
         except (ValueError, KeyError, TypeError) as exc:
             raise ConfigError(f"{records_path}: line {line_no}: {exc}") from None
-        grouped.setdefault(record.chunk_id, []).append(record)
+        records = grouped.setdefault(record.chunk_id, [])
+        if records and record.chunk_id != previous:
+            raise ConfigError(
+                f"{records_path}: line {line_no}: chunk {record.chunk_id!r} resumes after chunk {previous!r}"
+            )
+        if record.index != len(records):
+            raise ConfigError(
+                f"{records_path}: line {line_no}: index {record.index} of chunk {record.chunk_id!r}, "
+                f"expected {len(records)}"
+            )
+        records.append(record)
+        previous = record.chunk_id
     if not grouped:
         print("no records")
         return 0

@@ -1,7 +1,9 @@
 """Chunk I/O and a synthetic drifting-stream generator.
 
-CSV layout: one row per instance, feature columns first, the binary label
-last. An optional header names the columns f0..f{d-1},label. Floats are
+CSV layout: a header row naming the columns (f0..f{d-1},label as written
+here), then one row per instance, feature columns first, the binary label
+last. A file is read as UTF-8, with a leading byte-order mark dropped, and a
+first row of numbers is rejected as a file without a header. Floats are
 written in shortest round-trip form, so write followed by read reproduces a
 chunk exactly.
 
@@ -16,6 +18,7 @@ span of chunks.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -24,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import Chunk, validate_chunk
-from .errors import ChunkFormatError, LabelError, RaggedRowError
+from .errors import ChunkFormatError, DriftppError, LabelError, RaggedRowError
 
 __all__ = ["DriftSpec", "StreamSpec", "read_chunk_csv", "write_chunk_csv", "generate_stream"]
 
@@ -85,7 +88,17 @@ class StreamSpec:
             raise ValueError(f"noise must lie in [0, 1), got {self.noise}")
 
 
-def read_chunk_csv(path, has_header: bool = True) -> Chunk:
+def read_text(path, error: type[DriftppError]) -> str:
+    """The contents of an input text file: UTF-8, a leading byte-order mark
+    dropped, newlines as ``\\n``. Raises ``error`` naming the file when it is
+    not UTF-8 text, and OSError when it cannot be read."""
+    try:
+        return Path(path).read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+def read_chunk_csv(path) -> Chunk:
     """Parse a chunk file. The chunk id is the file's stem.
 
     Raises RaggedRowError on inconsistent column counts, LabelError on a
@@ -93,103 +106,101 @@ def read_chunk_csv(path, has_header: bool = True) -> Chunk:
     offending 1-based row, or only the file when it is not UTF-8 text.
     """
     path = Path(path)
-    try:
-        table = _load_table(path, has_header)
-        features, labels = table if table is not None else _parse_rows(path, has_header)
-    except UnicodeDecodeError as exc:
-        raise ChunkFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    text = read_text(path, ChunkFormatError)
+    table = _load_table(text, path)
+    if table is not None:
+        return Chunk(path.stem, *table)
+    features, labels, row_numbers = _parse_rows(text, path)
     chunk = Chunk(path.stem, features, labels)
     violations = validate_chunk(chunk)
     if violations:
         index, reason = violations[0]
-        raise ChunkFormatError(f"{path}: row {index + (2 if has_header else 1)}: {reason}")
+        raise ChunkFormatError(f"{path}: row {row_numbers[index]}: {reason}")
     return chunk
 
 
-def _load_table(path: Path, has_header: bool) -> tuple[np.ndarray, np.ndarray] | None:
-    """(features, labels) of a well-formed file with at least one row, parsed
-    in one ``np.loadtxt`` call, or None for any file it does not take whole.
+def _read_header(reader, path: Path) -> int:
+    """The width of the header row that starts every chunk file. A row of
+    numbers there is a file without a header, and is rejected."""
+    header = next(reader, [])
+    if len(header) < 2:
+        raise ChunkFormatError(f"{path}: header has {len(header)} columns, need at least 2")
+    try:
+        list(map(float, header))
+    except ValueError:
+        return len(header)
+    raise ChunkFormatError(f"{path}: row 1: expected a header, got a row of numbers")
+
+
+def _load_table(text: str, path: Path) -> tuple[np.ndarray, np.ndarray] | None:
+    """(features, labels) of a valid file with at least one row, parsed in
+    one ``np.loadtxt`` call, or None for any file it does not take whole.
 
     None sends the file to the row loop, which names the offending row of a
     malformed file and also takes cells that ``float()`` parses and
     ``np.loadtxt`` does not, such as ``1_0`` or non-ASCII digits.
     """
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        # the header goes through the csv module, so a quoted comma or
-        # newline in a column name counts as the row loop counts it
-        width = len(next(csv.reader(fh), [])) if has_header else None
-        try:
-            with warnings.catch_warnings():
-                # a file with no data rows is the loop's to judge
-                warnings.simplefilter("ignore", UserWarning)
-                table = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"', ndmin=2)
-        except ValueError:
-            return None
-    if table.size == 0 or table.shape[1] < 2 or width not in (None, table.shape[1]):
+    fh = io.StringIO(text)
+    # the header goes through the csv module, so a quoted comma or newline
+    # in a column name counts as the row loop counts it
+    width = _read_header(csv.reader(fh), path)
+    try:
+        with warnings.catch_warnings():
+            # a file with no data rows is the loop's to judge
+            warnings.simplefilter("ignore", UserWarning)
+            table = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"', ndmin=2)
+    except ValueError:
         return None
-    labels = table[:, -1]
-    if not ((labels == 0.0) | (labels == 1.0)).all():
+    if table.size == 0 or table.shape[1] != width:
         return None
-    return table[:, :-1], labels
+    features, labels = table[:, :-1], table[:, -1]
+    if not (((labels == 0.0) | (labels == 1.0)).all() and np.isfinite(features).all()):
+        return None
+    return features, labels
 
 
-def _parse_rows(path: Path, has_header: bool) -> tuple[np.ndarray, list[int]]:
-    """(features, labels) of a file parsed cell by cell with ``float()``,
-    raising on the first malformed row."""
+def _parse_rows(text: str, path: Path) -> tuple[np.ndarray, list[int], list[int]]:
+    """(features, labels, row numbers) of a file parsed cell by cell with
+    ``float()``, raising on the first malformed row. Rows are numbered from
+    the header's 1, blank rows included."""
     features: list[list[float]] = []
     labels: list[int] = []
-    width: int | None = None
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        for row_no, row in enumerate(reader, start=1):
-            if row_no == 1 and has_header:
-                width = len(row)
-                if width < 2:
-                    raise ChunkFormatError(f"{path}: header has {width} columns, need at least 2")
-                continue
-            if not row:
-                continue
-            if width is None:
-                width = len(row)
-                if width < 2:
-                    raise ChunkFormatError(f"{path}: row {row_no} has {width} columns, need at least 2")
-            if len(row) != width:
-                raise RaggedRowError(
-                    f"{path}: row {row_no} has {len(row)} columns, expected {width}"
-                )
-            values = []
-            for col, cell in enumerate(row[:-1]):
-                try:
-                    values.append(float(cell))
-                except ValueError:
-                    raise ChunkFormatError(
-                        f"{path}: row {row_no}, column {col}: cannot parse {cell!r} as a number"
-                    ) from None
+    row_numbers: list[int] = []
+    reader = csv.reader(io.StringIO(text))
+    width = _read_header(reader, path)
+    for row_no, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != width:
+            raise RaggedRowError(f"{path}: row {row_no} has {len(row)} columns, expected {width}")
+        values = []
+        for col, cell in enumerate(row[:-1]):
             try:
-                label_value = float(row[-1])
+                values.append(float(cell))
             except ValueError:
-                raise LabelError(
-                    f"{path}: row {row_no}: cannot parse label {row[-1]!r}"
+                raise ChunkFormatError(
+                    f"{path}: row {row_no}, column {col}: cannot parse {cell!r} as a number"
                 ) from None
-            if label_value not in (0.0, 1.0):
-                raise LabelError(
-                    f"{path}: row {row_no}: label {row[-1]!r} not in {{0, 1}}"
-                )
-            features.append(values)
-            labels.append(int(label_value))
-    if width is None:
-        raise ChunkFormatError(f"{path}: empty file with no header to infer dimensionality")
-    return np.array(features, dtype=np.float64).reshape(len(features), width - 1), labels
+        try:
+            label_value = float(row[-1])
+        except ValueError:
+            raise LabelError(f"{path}: row {row_no}: cannot parse label {row[-1]!r}") from None
+        if label_value not in (0.0, 1.0):
+            raise LabelError(f"{path}: row {row_no}: label {row[-1]!r} not in {{0, 1}}")
+        features.append(values)
+        labels.append(int(label_value))
+        row_numbers.append(row_no)
+    return np.array(features, dtype=np.float64).reshape(len(features), width - 1), labels, row_numbers
 
 
-def write_chunk_csv(chunk: Chunk, path, header: bool = True) -> None:
-    """Write a chunk in the layout read_chunk_csv expects. Floats use their
-    shortest round-trip representation; lines end with LF."""
+def write_chunk_csv(chunk: Chunk, path) -> None:
+    """Write a chunk in the layout read_chunk_csv expects: a header row,
+    then one row per instance. Floats use their shortest round-trip
+    representation; lines end with LF."""
     path = Path(path)
     with path.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        if header:
-            writer.writerow([f"f{i}" for i in range(chunk.dimensionality)] + ["label"])
+        writer.writerow([f"f{i}" for i in range(chunk.dimensionality)] + ["label"])
         for row, label in zip(chunk.features.tolist(), chunk.labels.tolist()):
             writer.writerow([repr(v) for v in row] + [label])
 

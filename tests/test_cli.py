@@ -173,7 +173,6 @@ class TestParseConfig:
             "seed": int,
             "drift_f1_drop": float,
             "drift_baseline_window": int,
-            "has_header": bool,
         }
         assert _RUN_REQUIRED == ("initial_chunk", "chunks")
         nested = [(StreamSpec, ""), (DriftSpec, "drift_"), (RunConfig, ""),
@@ -279,6 +278,20 @@ class TestRun:
             assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o"), *extra]) == 0
         assert seeds == [7, 3]
 
+    def test_byte_order_marks_are_dropped(self, tmp_path):
+        # a config and chunk files saved with a UTF-8 byte-order mark run as
+        # they do without it
+        stream = generate_stationary(tmp_path)
+        cfg = run_config_for(tmp_path, stream)
+        plain = tmp_path / "plain"
+        assert main(["run", "--config", str(cfg), "--out", str(plain)]) == 0
+        for path in [cfg, *stream.glob("chunk_*.csv")]:
+            path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        marked = tmp_path / "marked"
+        assert main(["run", "--config", str(cfg), "--out", str(marked)]) == 0
+        for name in ("records.jsonl", "reports.csv"):
+            assert (marked / name).read_bytes() == (plain / name).read_bytes()
+
     def test_rerun_outputs_byte_identical(self, tmp_path):
         stream = generate_stationary(tmp_path)
         cfg = run_config_for(tmp_path, stream)
@@ -327,7 +340,8 @@ class TestRun:
             pc_count=2,
         )
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
-        assert "romulus.csv" in capsys.readouterr().err
+        assert f"error: file not found: {stream / 'romulus.csv'}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_missing_initial_named(self, tmp_path, capsys):
         cfg = write_config(
@@ -336,7 +350,7 @@ class TestRun:
             chunks="nowhere/chunk_001.csv",
         )
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
-        assert "nowhere/chunk_000.csv" in capsys.readouterr().err
+        assert f"error: file not found: {tmp_path / 'nowhere/chunk_000.csv'}" in capsys.readouterr().err
 
 
 class TestReport:
@@ -395,7 +409,17 @@ class TestReport:
 
     def test_missing_file(self, tmp_path, capsys):
         assert main(["report", str(tmp_path / "void.jsonl")]) == 1
-        assert "void.jsonl" in capsys.readouterr().err
+        assert f"error: file not found: {tmp_path / 'void.jsonl'}" in capsys.readouterr().err
+
+    def test_byte_order_mark_dropped(self, tmp_path, capsys):
+        out = self.run_once(tmp_path)
+        records = out / "records.jsonl"
+        capsys.readouterr()
+        assert main(["report", str(records)]) == 0
+        plain = capsys.readouterr().out
+        records.write_bytes(b"\xef\xbb\xbf" + records.read_bytes())
+        assert main(["report", str(records)]) == 0
+        assert capsys.readouterr().out == plain
 
     def test_custom_alarm_threshold(self, tmp_path, capsys):
         path = tmp_path / "records.jsonl"
@@ -453,6 +477,16 @@ class TestInputErrors:
             records = TestInputErrors.one_record(tmp_path)
             records.write_bytes(records.read_bytes() + b"\xff\n")
             return ["report", str(records)], f"{records}: not UTF-8"
+        if case in ("records_resumed", "records_index"):
+            # two runs' records concatenated, or a chunk's line left out
+            records = tmp_path / "records.jsonl"
+            lines = [json.dumps({"chunk_id": chunk_id, "index": 0, "truth": 1, "predicted": 1, "score": 0.9})
+                     for chunk_id in ("a", "b")]
+            if case == "records_resumed":
+                records.write_text("\n".join(lines + lines) + "\n")
+                return ["report", str(records)], f"{records}: line 3: chunk 'a' resumes after chunk 'b'"
+            records.write_text(lines[0] + "\n" + lines[0].replace('"index": 0', '"index": 2') + "\n")
+            return ["report", str(records)], f"{records}: line 2: index 2 of chunk 'a', expected 1"
         if case.startswith("drift_f1_drop"):
             records = TestInputErrors.one_record(tmp_path)
             drop = "nan" if case.endswith("nan") else "-1"
@@ -471,6 +505,10 @@ class TestInputErrors:
             chunk = stream / "chunk_002.csv"
             chunk.write_bytes(chunk.read_bytes() + b"\xff,1\n")
             return ["run", "--config", str(cfg)] + out, f"{chunk}: not UTF-8"
+        if case == "headerless_chunk":
+            chunk = stream / "chunk_002.csv"
+            chunk.write_text(chunk.read_text().split("\n", 1)[1])
+            return ["run", "--config", str(cfg)] + out, f"{chunk}: row 1: expected a header"
         # the output directory's path is taken by a file
         (tmp_path / "out").write_text("a file\n")
         return ["run", "--config", str(cfg)] + out, str(tmp_path / "out")
@@ -480,7 +518,8 @@ class TestInputErrors:
         [
             "pc_count", "n_chunks", "knn_k", "error_threshold", "drift_f1_drop", "drift_f1_drop_nan",
             "record_chunk_id", "record_index", "repeated_chunk", "record_score", "config_not_utf8",
-            "records_not_utf8", "chunk_not_utf8", "out_is_a_file",
+            "records_not_utf8", "chunk_not_utf8", "out_is_a_file", "headerless_chunk", "records_resumed",
+            "records_index",
         ],
     )
     def test_exits_one_with_error_line(self, case, tmp_path, capsys):

@@ -9,6 +9,7 @@ from driftpp.data import (
     _parse_rows,
     generate_stream,
     read_chunk_csv,
+    read_text,
     write_chunk_csv,
 )
 from driftpp.errors import ChunkFormatError, LabelError, RaggedRowError
@@ -54,12 +55,12 @@ class TestReadChunkCsv:
             chunk.features[2], [-1.5, 0.25, 1000.0, 0.0]
         )
 
-    def test_headerless_file(self, tmp_path):
+    def test_numeric_first_row_rejected(self, tmp_path):
+        # a file without a header fails rather than losing its first row
         path = tmp_path / "raw.csv"
         path.write_text("1.0,2.0,1\n3.0,4.0,0\n")
-        chunk = read_chunk_csv(path, has_header=False)
-        assert len(chunk) == 2
-        assert chunk.dimensionality == 2
+        with pytest.raises(ChunkFormatError, match=f"{path}: row 1: expected a header"):
+            read_chunk_csv(path)
 
     def test_bad_label_names_row(self, tmp_path):
         path = tmp_path / "x.csv"
@@ -89,7 +90,7 @@ class TestReadChunkCsv:
         path = tmp_path / "x.csv"
         path.write_text("")
         with pytest.raises(ChunkFormatError):
-            read_chunk_csv(path, has_header=False)
+            read_chunk_csv(path)
 
     def test_header_only_file_is_empty_chunk(self, tmp_path):
         path = tmp_path / "hollow.csv"
@@ -109,10 +110,30 @@ class TestReadChunkCsv:
         path.write_text("f0,label\n1.0,0\n\n2.0,1\n")
         assert len(read_chunk_csv(path)) == 2
 
+    def test_nonfinite_feature_row_counts_blank_lines(self, tmp_path):
+        # the row a parse error in the same place would name
+        path = tmp_path / "x.csv"
+        path.write_text("f0,label\n1.0,0\n\n\n2.0,1\nnan,1\n")
+        with pytest.raises(ChunkFormatError, match="row 6: NaN feature at column 0"):
+            read_chunk_csv(path)
+        path.write_text("f0,label\n1.0,0\n\n\n2.0,1\nhuh,1\n")
+        with pytest.raises(ChunkFormatError, match="row 6, column 0"):
+            read_chunk_csv(path)
+
+    def test_byte_order_mark_dropped(self, tmp_path):
+        text = "f0,f1,label\n1.5,-2.0,1\n0.0,3.25,0\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_bytes(text.encode("utf-8"))
+        marked.write_bytes(text.encode("utf-8-sig"))
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        want, got = read_chunk_csv(plain), read_chunk_csv(marked)
+        np.testing.assert_array_equal(got.features, want.features)
+        np.testing.assert_array_equal(got.labels, want.labels)
+
     @pytest.mark.parametrize("rows_before", [0, 2000])
     def test_bytes_that_are_not_utf8_name_the_file(self, tmp_path, rows_before):
-        # a bad byte in the first read buffer fails the header; one past it
-        # fails inside np.loadtxt and then in the row loop
+        # the file is decoded whole before either parser sees it, so a bad
+        # byte in the header and one thousands of rows in fail alike
         path = tmp_path / "x.csv"
         path.write_bytes(b"f0,label\n" + b"1.0,0\n" * rows_before + b"\xff,1\n")
         with pytest.raises(ChunkFormatError, match=f"{path}: not UTF-8 text"):
@@ -125,28 +146,28 @@ class TestReadPathParity:
     the loop's chunk."""
 
     @pytest.mark.parametrize(
-        "text, has_header, whole",
+        "text, whole",
         [
-            ('"f,0",f1,label\n"1.5",2.0,"1"\n-3," 4e-1 ",0\n', True, True),
-            ("f0,label\n1.0,0\n\n\n2.0,1\n\n", True, True),
-            ("f0,label\r\n1.5,0\r\n-0.25,1\r\n", True, True),
-            ("1.0,2.0,1\n3.0,4.0,0\n", False, True),
-            ("f0,f1,label\n", True, False),
-            ("f0,label\n1_0,1\n2.5,0\n", True, False),
-            ("f0,label\n\u0661\u0662,1\n", True, False),
+            ('"f,0",f1,label\n"1.5",2.0,"1"\n-3," 4e-1 ",0\n', True),
+            ("f0,label\n1.0,0\n\n\n2.0,1\n\n", True),
+            ("f0,label\r\n1.5,0\r\n-0.25,1\r\n", True),
+            ("f0,f1,label\n", False),
+            ("f0,label\n1_0,1\n2.5,0\n", False),
+            ("f0,label\n\u0661\u0662,1\n", False),
         ],
-        ids=["quoted", "blank-lines", "crlf", "headerless", "header-only", "underscore", "non-ascii-digits"],
+        ids=["quoted", "blank-lines", "crlf", "header-only", "underscore", "non-ascii-digits"],
     )
-    def test_same_chunk_as_row_loop(self, tmp_path, text, has_header, whole):
+    def test_same_chunk_as_row_loop(self, tmp_path, text, whole):
         path = tmp_path / "x.csv"
         path.write_bytes(text.encode("utf-8"))
-        features, labels = _parse_rows(path, has_header)
-        table = _load_table(path, has_header)
+        decoded = read_text(path, ChunkFormatError)
+        features, labels, _ = _parse_rows(decoded, path)
+        table = _load_table(decoded, path)
         assert (table is not None) == whole
         if table is not None:
             np.testing.assert_array_equal(table[0], features)
             np.testing.assert_array_equal(table[1], labels)
-        chunk = read_chunk_csv(path, has_header=has_header)
+        chunk = read_chunk_csv(path)
         assert chunk.features.shape == features.shape
         np.testing.assert_array_equal(chunk.features, features)
         np.testing.assert_array_equal(chunk.labels, labels)
