@@ -11,10 +11,13 @@ input file is decoded by :func:`driftpp.data.read_text`. The DRIFTPP_LOG
 environment variable (error|warn|info|debug) sets the log level.
 
 Exit codes: 0 success, 1 error, 2 success with at least one drift alarm.
+A closed stdout (``driftpp report ... | head``) ends the command quietly
+with 0.
 """
 from __future__ import annotations
 
 import argparse
+import csv
 import glob as globlib
 import hashlib
 import json
@@ -116,12 +119,6 @@ def _load_config(path: Path, kinds: dict[str, type], required: tuple[str, ...]) 
 def _parse_typed(key: str, raw: str, kind):
     if _NONE_SPELLINGS.get(key) == raw:
         return None
-    if kind is bool:
-        if raw.lower() in ("true", "1", "yes"):
-            return True
-        if raw.lower() in ("false", "0", "no"):
-            return False
-        raise ValueError(raw)
     return kind(raw)
 
 
@@ -177,8 +174,11 @@ def _report_row(report: ChunkReport) -> list[str]:
 
 
 def _write_reports_csv(reports: list[ChunkReport], path: Path) -> None:
-    lines = [",".join(REPORT_COLUMNS)] + [",".join(_report_row(report)) for report in reports]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    # an id that holds a comma or a quote is quoted
+    with path.open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(REPORT_COLUMNS)
+        writer.writerows(_report_row(report) for report in reports)
 
 
 def _print_report_table(rows: list[list[str]]) -> None:
@@ -333,7 +333,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        # output still buffered meets a closed pipe here
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # the reader stopped early; the flush at exit writes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except DriftppError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -32,8 +32,9 @@ class Chunk:
     ``features`` is an (n, d) float64 array and ``labels`` an (n,) int64
     array of 0/1; both are read-only copies of the inputs, and row i of each
     is the instance at arrival position i. Non-finite features are reported
-    by :func:`validate_chunk` as data rather than raised here, so that a
-    reader can surface every defect in a file at once.
+    by :func:`validate_chunk` as data rather than raised here, so that
+    :func:`driftpp.adaptive.process_chunk` can turn an invalid chunk into an
+    error report and the run goes on.
     """
 
     id: str

@@ -74,9 +74,9 @@ def _scan(points: np.ndarray, block: np.ndarray, k: int) -> np.ndarray:
 
 def _euclidean_positives(
     points: np.ndarray, positive: np.ndarray, block: np.ndarray, k: int
-) -> np.ndarray | None:
-    """Class-1 count among the k nearest points of each query row, or
-    None when the inputs are not finite, so that a full scan decides.
+) -> np.ndarray:
+    """Class-1 count among the k nearest points of each query row. A block
+    with a non-finite input takes the full scan.
 
     Each row ranks the points by g = |x|^2 - 2 q.x; the row-constant |q|^2
     does not change the order of a row. k passes over the block of g each
@@ -129,9 +129,9 @@ def _euclidean_positives(
     sq_points = np.einsum("ij,ij->i", points, points)
     sq_block = np.einsum("ij,ij->i", block, block)
     scale = (np.sqrt(sq_block) + np.sqrt(sq_points.max())) ** 2
-    # every term of g is at most scale in magnitude; this also rejects NaN
+    # every term of g is at most scale in magnitude; a NaN fails this too
     if not np.isfinite(2.0 * scale).all():
-        return None
+        return positive[_scan(points, block, k)].sum(axis=1)
     gram = block @ (points.T * -2.0)
     gram += sq_points
     rows = np.arange(len(block))
@@ -186,10 +186,7 @@ def knn_predict_batch(model: KnnModel, queries: np.ndarray) -> tuple[np.ndarray,
     step = max(1, _BLOCK_CELLS // max(1, points.size))
     for start in range(0, len(queries), step):
         block = queries[start : start + step]
-        counts = _euclidean_positives(points, positive, block, k)
-        if counts is None:
-            counts = positive[_scan(points, block, k)].sum(axis=1)
-        positives[start : start + step] = counts
+        positives[start : start + step] = _euclidean_positives(points, positive, block, k)
     scores = positives / k
     labels = (scores > 0.5).astype(np.int64)
     return labels, scores

@@ -1,8 +1,11 @@
+import csv
 import json
 import hashlib
+import os
 import re
 import shutil
 import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 from typing import get_args, get_type_hints
@@ -26,6 +29,16 @@ from driftpp.core import Chunk, PredictionRecord
 from driftpp.data import DriftSpec, StreamSpec, read_chunk_csv, write_chunk_csv
 from driftpp.knn import KnnConfig
 from driftpp.learnpp import LearnPPConfig
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def child_env(**extra):
+    """The environment of a child interpreter that imports driftpp from src/,
+    with stdout buffered unless ``extra`` says otherwise."""
+    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONUNBUFFERED", "DRIFTPP_LOG")}
+    return {**env, "PYTHONPATH": str(SRC), **extra}
 
 
 def write_config(path, **pairs):
@@ -352,6 +365,23 @@ class TestRun:
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         assert f"error: file not found: {tmp_path / 'nowhere/chunk_000.csv'}" in capsys.readouterr().err
 
+    def test_reports_csv_quotes_ids(self, tmp_path):
+        # a chunk's id is its file's stem, and initial_chunk is not split on commas
+        stream = generate_stationary(tmp_path)
+        (stream / "chunk_000.csv").rename(stream / "init,0.csv")
+        cfg = write_config(
+            tmp_path / "run.cfg",
+            initial_chunk=f"{stream.name}/init,0.csv",
+            chunks=f"{stream.name}/chunk_00[1-9].csv",
+            pc_count=2,
+        )
+        out = tmp_path / "results"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        with (out / "reports.csv").open(encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert [len(row) for row in rows] == [8] * 5
+        assert [row[0] for row in rows[1:]] == ["init,0", "chunk_001", "chunk_002", "chunk_003"]
+
 
 class TestReport:
     def run_once(self, tmp_path):
@@ -439,6 +469,23 @@ class TestReport:
         tight_table = capsys.readouterr().out
         assert default_table.splitlines()[2].split()[-1] == "false"
         assert tight_table.splitlines()[2].split()[-1] == "true"
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    def test_closed_stdout_exits_quietly(self, tmp_path, unbuffered):
+        # `driftpp report records.jsonl | head` with a reader that is gone
+        # before the table is written
+        records = self.run_once(tmp_path) / "records.jsonl"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "driftpp.cli", "report", str(records)],
+                stdout=write_end, stderr=subprocess.PIPE, timeout=60,
+                env=child_env(PYTHONUNBUFFERED=unbuffered),
+            )
+        finally:
+            os.close(write_end)
+        assert (result.returncode, result.stderr) == (0, b"")
 
 
 class TestInputErrors:
@@ -579,3 +626,12 @@ class TestEntryPoint:
         )
         assert result.returncode == 0
         assert "generate" in result.stdout and "report" in result.stdout
+
+    def test_module_help_in_a_fresh_interpreter(self):
+        # `python -m driftpp.cli` imports the package afresh, star imports included
+        result = subprocess.run(
+            [sys.executable, "-m", "driftpp.cli", "--help"],
+            capture_output=True, text=True, timeout=60, env=child_env(),
+        )
+        assert result.returncode == 0
+        assert "{run,generate,report}" in result.stdout

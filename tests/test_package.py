@@ -1,0 +1,36 @@
+"""The package namespace: ``driftpp.__all__`` is the modules' own lists."""
+import ast
+import re
+from pathlib import Path
+
+import driftpp
+from driftpp import adaptive, core, data, knn, learnpp, metrics, pca
+
+MODULES = [adaptive, core, data, knn, learnpp, metrics, pca]
+
+
+def test_all_is_the_module_lists_in_import_order():
+    # cli and errors stay out of the package namespace
+    expected = ["__version__"] + [name for module in MODULES for name in module.__all__]
+    assert driftpp.__all__ == expected
+    assert len(set(expected)) == len(expected)
+
+
+def test_every_exported_name_resolves():
+    for module in MODULES:
+        for name in module.__all__:
+            assert getattr(driftpp, name) is getattr(module, name)
+    assert isinstance(driftpp.__version__, str)
+
+
+def test_readme_library_example_imports_exported_names():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Library use\s+```python\n(.*?)```", readme, re.S).group(1)
+    imported = [
+        alias.name
+        for node in ast.walk(ast.parse(block))
+        if isinstance(node, ast.ImportFrom) and node.module == "driftpp"
+        for alias in node.names
+    ]
+    assert imported
+    assert [name for name in imported if name not in driftpp.__all__] == []
