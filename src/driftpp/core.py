@@ -33,8 +33,9 @@ class Chunk:
     array of 0/1; both are read-only copies of the inputs, and row i of each
     is the instance at arrival position i. Non-finite features are reported
     by :func:`validate_chunk` as data rather than raised here, so that
-    :func:`driftpp.adaptive.process_chunk` can turn an invalid chunk into an
-    error report and the run goes on.
+    :func:`driftpp.adaptive.process_chunk` can turn an invalid chunk, built
+    in memory or read by :func:`driftpp.data.read_chunk_csv`, into an error
+    report and the run goes on.
     """
 
     id: str

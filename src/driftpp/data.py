@@ -3,9 +3,12 @@
 CSV layout: a header row naming the columns (f0..f{d-1},label as written
 here), then one row per instance, feature columns first, the binary label
 last. A file is read as UTF-8, with a leading byte-order mark dropped, and a
-first row of numbers is rejected as a file without a header. Floats are
+first row of numbers is rejected as a file without a header. The reader
+checks format only (the header, row widths, cells that parse as numbers,
+labels in {0, 1}); ``nan``, ``inf`` and ``-inf`` cells are read as data, and
+the pipeline judges them (:func:`driftpp.core.validate_chunk`). Floats are
 written in shortest round-trip form, so write followed by read reproduces a
-chunk exactly.
+chunk exactly, non-finite values included.
 
 The generator draws two Gaussian clusters on opposite sides of a linear
 decision boundary and labels each point by the side of the boundary it falls
@@ -26,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Chunk, validate_chunk
+from .core import Chunk
 from .errors import ChunkFormatError, DriftppError, LabelError, RaggedRowError
 
 __all__ = ["DriftSpec", "StreamSpec", "read_chunk_csv", "write_chunk_csv", "generate_stream"]
@@ -101,22 +104,17 @@ def read_text(path, error: type[DriftppError]) -> str:
 def read_chunk_csv(path) -> Chunk:
     """Parse a chunk file. The chunk id is the file's stem.
 
-    Raises RaggedRowError on inconsistent column counts, LabelError on a
-    label outside {0, 1}, and ChunkFormatError on anything else, naming the
-    offending 1-based row, or only the file when it is not UTF-8 text.
+    Checks format only: raises RaggedRowError on inconsistent column counts,
+    LabelError on a label outside {0, 1}, and ChunkFormatError on anything
+    else, naming the offending 1-based row, or only the file when it is not
+    UTF-8 text. Non-finite features are read as data.
     """
     path = Path(path)
     text = read_text(path, ChunkFormatError)
     table = _load_table(text, path)
-    if table is not None:
-        return Chunk(path.stem, *table)
-    features, labels, row_numbers = _parse_rows(text, path)
-    chunk = Chunk(path.stem, features, labels)
-    violations = validate_chunk(chunk)
-    if violations:
-        index, reason = violations[0]
-        raise ChunkFormatError(f"{path}: row {row_numbers[index]}: {reason}")
-    return chunk
+    if table is None:
+        table = _parse_rows(text, path)
+    return Chunk(path.stem, *table)
 
 
 def _read_header(reader, path: Path) -> int:
@@ -154,18 +152,17 @@ def _load_table(text: str, path: Path) -> tuple[np.ndarray, np.ndarray] | None:
     if table.size == 0 or table.shape[1] != width:
         return None
     features, labels = table[:, :-1], table[:, -1]
-    if not (((labels == 0.0) | (labels == 1.0)).all() and np.isfinite(features).all()):
+    if not ((labels == 0.0) | (labels == 1.0)).all():
         return None
     return features, labels
 
 
-def _parse_rows(text: str, path: Path) -> tuple[np.ndarray, list[int], list[int]]:
-    """(features, labels, row numbers) of a file parsed cell by cell with
+def _parse_rows(text: str, path: Path) -> tuple[np.ndarray, list[int]]:
+    """(features, labels) of a file parsed cell by cell with
     ``float()``, raising on the first malformed row. Rows are numbered from
     the header's 1, blank rows included."""
     features: list[list[float]] = []
     labels: list[int] = []
-    row_numbers: list[int] = []
     reader = csv.reader(io.StringIO(text))
     width = _read_header(reader, path)
     for row_no, row in enumerate(reader, start=2):
@@ -189,8 +186,7 @@ def _parse_rows(text: str, path: Path) -> tuple[np.ndarray, list[int], list[int]
             raise LabelError(f"{path}: row {row_no}: label {row[-1]!r} not in {{0, 1}}")
         features.append(values)
         labels.append(int(label_value))
-        row_numbers.append(row_no)
-    return np.array(features, dtype=np.float64).reshape(len(features), width - 1), labels, row_numbers
+    return np.array(features, dtype=np.float64).reshape(len(features), width - 1), labels
 
 
 def write_chunk_csv(chunk: Chunk, path) -> None:
@@ -209,10 +205,8 @@ def _boundary_angle(drift: DriftSpec, chunk_index: int) -> float:
     """Rotation fraction (of magnitude * 90 degrees) applied at this chunk."""
     if drift.kind == "none" or chunk_index < drift.at_chunk:
         return 0.0
-    if drift.kind == "sudden":
-        return 1.0
-    progressed = chunk_index - drift.at_chunk + 1
-    return min(progressed / drift.gradual_span, 1.0)
+    span = drift.gradual_span if drift.kind == "gradual" else 1
+    return min((chunk_index - drift.at_chunk + 1) / span, 1.0)
 
 
 def generate_stream(spec: StreamSpec) -> list[Chunk]:

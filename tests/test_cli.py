@@ -26,7 +26,7 @@ from driftpp.cli import (
     main,
 )
 from driftpp.core import Chunk, PredictionRecord
-from driftpp.data import DriftSpec, StreamSpec, read_chunk_csv, write_chunk_csv
+from driftpp.data import DriftSpec, StreamSpec, generate_stream, read_chunk_csv, write_chunk_csv
 from driftpp.knn import KnnConfig
 from driftpp.learnpp import LearnPPConfig
 
@@ -343,6 +343,40 @@ class TestRun:
         assert main(["report", str(out / "records.jsonl")]) == 0
         table = [line.split() for line in capsys.readouterr().out.splitlines() if line]
         assert table == [line.split(",") for line in (out / "reports.csv").read_text().splitlines()]
+
+    @pytest.mark.parametrize("kind", ["short", "constant", "nan", "single_class"])
+    def test_odd_chunk_file_runs_as_in_the_library(self, tmp_path, caplog, kind):
+        # one odd adaptive chunk does not end the run: read from files, the
+        # stream gives the reports and records run_experiment gives in memory
+        initial, *chunks = generate_stream(StreamSpec(n_chunks=4, chunk_size=200, dimensionality=6, seed=3))
+        rows, labels = chunks[1].features.copy(), chunks[1].labels
+        if kind == "short":
+            rows, labels = rows[:2], labels[:2]  # fewer rows than pc_count
+        elif kind == "constant":
+            rows = np.ones_like(rows)
+        elif kind == "nan":
+            rows[4, 1] = np.nan
+        else:
+            labels = np.ones_like(labels)
+        chunks[1] = Chunk(chunks[1].id, rows, labels)
+        stream = tmp_path / "stream"
+        stream.mkdir()
+        for chunk in [initial, *chunks]:
+            write_chunk_csv(chunk, stream / f"{chunk.id}.csv")
+        out = tmp_path / "results"
+        status = main(["run", "--config", str(run_config_for(tmp_path, stream, pc_count=3)), "--out", str(out)])
+
+        records = []
+        config = RunConfig(learnpp=LearnPPConfig(seed=0), pc_count=3)
+        reports = adaptive.run_experiment(initial, chunks, config, record_sink=records.append)
+        assert status == (2 if any(r.drift_alarm for r in reports) else 0)
+        with (out / "reports.csv").open(encoding="utf-8", newline="") as fh:
+            assert list(csv.reader(fh))[1:] == [cli._report_row(r) for r in reports]
+        lines = [json.loads(l) for l in (out / "records.jsonl").read_text().splitlines()]
+        assert [PredictionRecord(**line) for line in lines] == records
+        # each report's error is logged, the invalid chunk's reason included
+        assert (reports[2].error is not None) == (kind != "single_class")
+        assert all(r.error in caplog.text for r in reports if r.error)
 
     def test_missing_chunk_file_named(self, tmp_path, capsys):
         stream = generate_stationary(tmp_path)
