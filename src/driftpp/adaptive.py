@@ -103,12 +103,15 @@ def reduce_chunk(chunk: Chunk, pc_count: int) -> Chunk:
 
     Chunks wider than ``pc_count`` are projected onto their own top
     principal components; chunks already at ``pc_count`` skip the
-    projection. Either way the result is standardized per column.
+    projection. Either way the result is standardized per column. A chunk
+    whose rows are all the same raises DegenerateData, whatever its width.
     """
     if chunk.dimensionality < pc_count:
         raise DimensionError(
             f"chunk {chunk.id} has {chunk.dimensionality} features, need at least {pc_count}"
         )
+    if (chunk.features == chunk.features[:1]).all():
+        raise DegenerateData("every row of the chunk is the same, so it has no variance")
     if chunk.dimensionality > pc_count:
         model = pca_fit(chunk, pc_count)
         chunk = pca_transform(model, chunk, pc_count)

@@ -22,7 +22,8 @@ class EmptyEnsemble(DriftppError):
 
 
 class RoundFailed(DriftppError):
-    """Too many consecutive weak-hypothesis candidates exceeded the error threshold."""
+    """A round accepted no weak hypothesis before too many consecutive
+    candidates in a row exceeded the error threshold."""
 
 
 class DegenerateData(DriftppError):

@@ -73,10 +73,10 @@ def _scan(points: np.ndarray, block: np.ndarray, k: int) -> np.ndarray:
 
 
 def _euclidean_positives(
-    points: np.ndarray, positive: np.ndarray, block: np.ndarray, k: int
+    points: np.ndarray, labels: np.ndarray, block: np.ndarray, k: int
 ) -> np.ndarray:
-    """Class-1 count among the k nearest points of each query row. A block
-    with a non-finite input takes the full scan.
+    """Class-1 count among the k nearest of the 0/1-labelled points for each
+    query row. A block with a non-finite input takes the full scan.
 
     Each row ranks the points by g = |x|^2 - 2 q.x; the row-constant |q|^2
     does not change the order of a row. k passes over the block of g each
@@ -131,20 +131,20 @@ def _euclidean_positives(
     scale = (np.sqrt(sq_block) + np.sqrt(sq_points.max())) ** 2
     # every term of g is at most scale in magnitude; a NaN fails this too
     if not np.isfinite(2.0 * scale).all():
-        return positive[_scan(points, block, k)].sum(axis=1)
+        return labels[_scan(points, block, k)].sum(axis=1)
     gram = block @ (points.T * -2.0)
     gram += sq_points
     rows = np.arange(len(block))
     positives = np.zeros(len(block), dtype=np.int64)
     for _ in range(k):
         nearest = gram.argmin(axis=1)
-        positives += positive[nearest]
+        positives += labels[nearest]
         kth = gram[rows, nearest]
         gram[rows, nearest] = np.inf
     margin = 4.0 * (d + 8) * (_EPS * scale + _TINY)
     wide = np.flatnonzero(gram.min(axis=1) <= kth + margin)
     if wide.size:
-        positives[wide] = positive[_scan(points, block[wide], k)].sum(axis=1)
+        positives[wide] = labels[_scan(points, block[wide], k)].sum(axis=1)
     return positives
 
 
@@ -179,14 +179,12 @@ def knn_predict_batch(model: KnnModel, queries: np.ndarray) -> tuple[np.ndarray,
         raise DimensionError(
             f"query shape {queries.shape} does not match model dimensionality {model.dimensionality}"
         )
-    points = model.features
-    positive = model.labels == 1
     k = min(model.config.k, model.n_points)
     positives = np.empty(len(queries), dtype=np.int64)
-    step = max(1, _BLOCK_CELLS // max(1, points.size))
+    step = max(1, _BLOCK_CELLS // max(1, model.features.size))
     for start in range(0, len(queries), step):
         block = queries[start : start + step]
-        positives[start : start + step] = _euclidean_positives(points, positive, block, k)
+        positives[start : start + step] = _euclidean_positives(model.features, model.labels, block, k)
     scores = positives / k
     labels = (scores > 0.5).astype(np.int64)
     return labels, scores

@@ -6,20 +6,21 @@ proportion to those weights, fits a nearest-neighbor weak hypothesis on the
 distinct instances of that draw, and keeps it only if its weighted error
 over the whole window stays below the error threshold; over-threshold
 candidates are discarded and re-sampled, and too many consecutive discards
-abort the round. Every kept hypothesis votes with weight
-log(1 / normalized_error), so more accurate hypotheses speak louder. After
-each acceptance the composite vote of all retained hypotheses is evaluated
-on the window, and the weights of correctly classified instances decay by
-the normalized composite error, which concentrates the next subset on the
-instances the ensemble still gets wrong. A composite that classifies the
-whole window correctly ends the round early.
+end the round, which fails only if it accepted nothing. Every kept
+hypothesis votes with weight log(1 / normalized_error), so more accurate
+hypotheses speak louder. After each acceptance the composite vote of all
+retained hypotheses is evaluated on the window, and the weights of
+correctly classified instances decay by the normalized composite error,
+which concentrates the next subset on the instances the ensemble still gets
+wrong. A composite that classifies the whole window correctly ends the
+round early.
 
 Windows are (features, labels) array pairs. The model itself learns
-online: blocks of rows, their labels and their outcomes at arrival are
-copied onto a columnar buffer, and a full buffer becomes the next training
-window. Instances that the ensemble misclassified at arrival enter the
-window with doubled initial weight. Old window groups can be pruned
-wholesale to bound memory.
+online: copies of blocks of rows, their labels and their outcomes at
+arrival are appended to a buffer, and a full buffer is joined column by
+column into the next training window. Instances that the ensemble
+misclassified at arrival enter the window with doubled initial weight. Old
+window groups can be pruned wholesale to bound memory.
 
 Prediction takes an (n, d) block and returns (labels, scores) arrays, the
 composite vote of every retained hypothesis; a single query is a one-row
@@ -65,8 +66,6 @@ logger = logging.getLogger(__name__)
 BETA_FLOOR = 1e-10
 
 _SUM_TOLERANCE = 1e-9
-
-_EMPTY_BUFFER = (np.empty((0, 0)), np.empty(0, dtype=np.int64), np.empty(0, dtype=bool))
 
 
 @dataclass(frozen=True)
@@ -234,8 +233,6 @@ def composite_error(
     hypotheses: Sequence[WeakHypothesis], features, labels, dist: WeightDistribution
 ) -> float:
     """Total weight of the window instances the composite vote misclassifies."""
-    if not hypotheses:
-        raise EmptyEnsemble("no hypotheses to vote with")
     _window_size(features, labels, dist)
     composite, _ = _composite(hypotheses, features)
     return _weighted_error(dist, composite, labels)
@@ -250,8 +247,7 @@ def update_weights(dist: WeightDistribution, correct_mask, decay: float) -> Weig
         raise DimensionError(
             f"mask has shape {mask.shape} but distribution has shape {dist.weights.shape}"
         )
-    raw = np.where(mask, dist.weights * decay, dist.weights)
-    return WeightDistribution(raw / raw.sum())
+    return WeightDistribution.normalized(np.where(mask, dist.weights * decay, dist.weights))
 
 
 def run_round(
@@ -277,7 +273,8 @@ def run_round(
     the round, and E at or above one half leaves the weights untouched for
     that step.
 
-    Raises RoundFailed after ``max_retries`` consecutive rejected candidates.
+    ``max_retries`` consecutive rejected candidates end the round with the
+    hypotheses it accepted, or raise RoundFailed when it accepted none.
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
@@ -307,6 +304,8 @@ def run_round(
                 window_ordinal, error, consecutive_failures, config.max_retries,
             )
             if consecutive_failures >= config.max_retries:
+                if accepted:
+                    break
                 raise RoundFailed(
                     f"window {window_ordinal}: {consecutive_failures} consecutive "
                     f"candidates at weighted error >= {config.error_threshold:g}"
@@ -347,13 +346,13 @@ class LearnPPModel:
         self.hypotheses: list[WeakHypothesis] = []
         self.windows_completed = 0
         self._rng = np.random.default_rng(config.seed)
-        # (features, labels, missed at arrival) of the pending rows, in
-        # arrival order; each absorbed block is copied onto the end
-        self._buffer = _EMPTY_BUFFER
+        # pending (features, labels, missed at arrival) copies and their row count
+        self._blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self._buffered = 0
 
     @property
     def buffer_size(self) -> int:
-        return len(self._buffer[1])
+        return self._buffered
 
     @property
     def rows_until_flush(self) -> int | None:
@@ -398,8 +397,8 @@ class LearnPPModel:
         If the round fails, RoundFailed propagates and the window is gone
         all the same (see :meth:`flush_window`).
         """
-        features = np.asarray(features, dtype=np.float64)
-        labels = np.asarray(labels, dtype=np.int64)
+        features = np.array(features, dtype=np.float64)
+        labels = np.array(labels, dtype=np.int64)
         missed = ~np.asarray(was_correct, dtype=bool)
         if features.ndim != 2 or labels.shape != features.shape[:1] or missed.shape != labels.shape:
             shapes = f"{features.shape}, {labels.shape} and {missed.shape}"
@@ -407,10 +406,8 @@ class LearnPPModel:
         limit = self.rows_until_flush
         if limit is not None and len(labels) > limit:
             raise ValueError(f"block of {len(labels)} rows is longer than rows_until_flush={limit}")
-        # concatenation copies, so the caller may reuse its arrays
-        block = (features, labels, missed)
-        head = self._buffer if self.buffer_size else tuple(column[:0] for column in block)
-        self._buffer = tuple(np.concatenate(pair) for pair in zip(head, block))
+        self._blocks.append((features, labels, missed))
+        self._buffered += len(labels)
         if len(labels) == limit:
             self.flush_window()
         return self
@@ -426,7 +423,8 @@ class LearnPPModel:
         """
         if not self.buffer_size:
             return
-        (features, labels, missed), self._buffer = self._buffer, _EMPTY_BUFFER
+        blocks, self._blocks, self._buffered = self._blocks, [], 0
+        features, labels, missed = (np.concatenate(column) for column in zip(*blocks))
         present = np.unique(labels)
         if len(present) < 2:
             logger.warning(

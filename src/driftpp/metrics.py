@@ -24,19 +24,17 @@ class ConfusionCounts:
         return self.tp + self.fp + self.tn + self.fn
 
 
+def _columns(records: Sequence[PredictionRecord]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The truth, predicted and score columns of the records."""
+    truth = np.array([record.truth for record in records], dtype=np.int64)
+    predicted = np.array([record.predicted for record in records], dtype=np.int64)
+    scores = np.array([record.score for record in records], dtype=np.float64)
+    return truth, predicted, scores
+
+
 def confusion(records: Sequence[PredictionRecord]) -> ConfusionCounts:
-    tp = fp = tn = fn = 0
-    for record in records:
-        if record.predicted == 1:
-            if record.truth == 1:
-                tp += 1
-            else:
-                fp += 1
-        else:
-            if record.truth == 1:
-                fn += 1
-            else:
-                tn += 1
+    truth, predicted, _ = _columns(records)
+    tn, fn, fp, tp = np.bincount(2 * predicted + truth, minlength=4).tolist()
     return ConfusionCounts(tp, fp, tn, fn)
 
 
@@ -65,8 +63,7 @@ def auc(records: Sequence[PredictionRecord]) -> float:
     negative, counting score ties as one half. Computed from midrank sums in
     O(n log n).
     """
-    scores = np.array([record.score for record in records], dtype=np.float64)
-    truth = np.array([int(record.truth) for record in records], dtype=np.int64)
+    truth, _, scores = _columns(records)
     n_pos = int(truth.sum())
     n_neg = truth.size - n_pos
     if n_pos == 0 or n_neg == 0:

@@ -13,7 +13,14 @@ from driftpp.adaptive import (
     run_experiment,
 )
 from driftpp.core import Chunk, PredictionRecord
-from driftpp.errors import DimensionError, EmptyEnsemble, PretrainFailed, RoundFailed
+from driftpp.data import StreamSpec, generate_stream
+from driftpp.errors import (
+    DegenerateData,
+    DimensionError,
+    EmptyEnsemble,
+    PretrainFailed,
+    RoundFailed,
+)
 from driftpp.learnpp import LearnPPConfig, LearnPPModel
 
 
@@ -67,6 +74,17 @@ class TestReduceChunk:
         with pytest.raises(DimensionError):
             reduce_chunk(chunk, 3)
 
+    @pytest.mark.parametrize("value", [0.1, 0.3, 7.77])
+    @pytest.mark.parametrize(
+        "shape", [(700, 20), (100, 10), (1, 10)], ids=["700x20", "100x10", "1x10"]
+    )
+    def test_constant_chunk_raises(self, value, shape):
+        # rounding leaves the covariance of a 0.1 chunk slightly nonzero, and
+        # a chunk at pc_count skips PCA, so neither may decide this
+        chunk = Chunk("x", np.full(shape, value), np.arange(shape[0]) % 2)
+        with pytest.raises(DegenerateData, match="no variance"):
+            reduce_chunk(chunk, 10)
+
 
 class TestDriftAlarm:
     def test_no_baseline_is_false(self):
@@ -114,6 +132,22 @@ class TestPretrain:
         chunk = Chunk(case, rows, np.arange(len(rows)) % 2)
         with pytest.raises(PretrainFailed, match=f"initial chunk {case} cannot be reduced"):
             pretrain(chunk, small_config(pc_count=3))
+
+    @pytest.mark.parametrize("pc_count, seed", [(10, 0), (20, 1)])
+    def test_round_out_of_retries_keeps_what_it_accepted(self, pc_count, seed):
+        # no noise and a 5% minority: the first candidate misses one
+        # instance, which then holds half the weight, and every later
+        # candidate is rejected; pretraining keeps the accepted hypothesis
+        initial, *chunks = generate_stream(StreamSpec(
+            n_chunks=6, chunk_size=700, dimensionality=20, noise=0.0, class_balance=0.05, seed=1
+        ))
+        config = RunConfig(learnpp=LearnPPConfig(seed=seed), pc_count=pc_count)
+        model, report, _ = pretrain(initial, config)
+        assert len(model.hypotheses) == 1
+        assert report.f1 >= 0.95
+        reports = run_experiment(initial, chunks, config)
+        assert [r.error for r in reports] == [None] * 6
+        assert min(r.f1 for r in reports) >= 0.95
 
     def test_deterministic(self):
         initial = cluster_chunk("initial", 200, seed=9)
@@ -225,7 +259,8 @@ def scrambled_head_chunk(chunk_id, n, seed, head):
     """A cluster chunk whose first ``head`` labels are random."""
     chunk = cluster_chunk(chunk_id, n, seed)
     labels = chunk.labels.copy()
-    labels[:head] = np.random.default_rng(seed).integers(0, 2, head)
+    # a generator of its own: cluster_chunk's default_rng(seed) drew the true labels
+    labels[:head] = np.random.default_rng([seed, head]).integers(0, 2, head)
     return Chunk(chunk_id, chunk.features, labels)
 
 
@@ -265,7 +300,7 @@ class TestSegmentBatching:
     def test_failed_round_drops_its_window(self):
         # the scrambled head fails the first window's round; that window
         # leaves the buffer like any other and the chunk goes on
-        learnpp = LearnPPConfig(seed=0, window_size=20, error_threshold=0.3, max_retries=3)
+        learnpp = LearnPPConfig(seed=0, window_size=20, error_threshold=0.2, max_retries=3)
         config = RunConfig(learnpp=learnpp, pc_count=2)
         chunks = [
             scrambled_head_chunk("a", 60, seed=7, head=20),
@@ -308,10 +343,14 @@ class TestChunkFailurePolicy:
             return Chunk("bad", rows[:2], labels[:2])  # fewer rows than pc_count
         if kind == "constant":
             return Chunk("bad", np.ones_like(rows), labels)
+        if kind == "constant_fraction":
+            return Chunk("bad", np.full_like(rows, 0.1), labels)  # rounding defeats PCA's check
+        if kind == "constant_at_width":
+            return Chunk("bad", np.ones((len(rows), 3)), labels)  # pc_count wide: PCA is skipped
         rows[7, 1] = np.nan
         return Chunk("bad", rows, labels)
 
-    @pytest.mark.parametrize("kind", ["short", "constant", "nan"])
+    @pytest.mark.parametrize("kind", ["short", "constant", "constant_fraction", "constant_at_width", "nan"])
     def test_bad_chunk_reports_error_and_run_continues(self, kind):
         config = small_config(pc_count=3)
         initial = cluster_chunk("chunk_000", 200, seed=50)

@@ -311,6 +311,19 @@ class TestRunRound:
         with pytest.raises(RoundFailed):
             run_round([[0.0], [0.0]], [0, 1], init_weights(2), config, np.random.default_rng(0))
 
+    def test_exhausted_retries_keep_the_accepted_hypotheses(self):
+        # a lone positive inside the negative cluster: any 3-NN outvotes it,
+        # so after the first acceptance it holds half the weight and every
+        # later candidate is rejected; the round keeps what it accepted
+        gen = np.random.default_rng(0)
+        rows = np.vstack([gen.normal(0.0, 1.0, (20, 2)), gen.normal(8.0, 1.0, (20, 2)), [[0.0, 0.0]]])
+        labels = [0] * 20 + [1] * 20 + [1]
+        config = LearnPPConfig(error_threshold=0.4, max_retries=3, seed=0)
+        hyps, final = run_round(rows, labels, init_weights(41), config, np.random.default_rng(0))
+        assert len(hyps) == 1
+        assert final.weights[-1] == pytest.approx(0.5)
+        assert composite_error(hyps, rows, labels, init_weights(41)) == pytest.approx(1 / 41)
+
     def test_single_positive_point_never_silent_beta_overflow(self, rng):
         rows = np.vstack([rng.normal(0.0, 0.5, (9, 2)), [[6.0, 6.0]]])
         config = LearnPPConfig(seed=2)

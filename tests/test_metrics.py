@@ -43,6 +43,15 @@ class TestConfusion:
             0, 0, 0, 0, 0,
         )
 
+    def test_matches_loop_oracle(self, rng):
+        truths, predictions = rng.integers(0, 2, 200), rng.integers(0, 2, 200)
+        records = make_records(truths, predictions, rng.uniform(size=200))
+        counts = confusion(records)
+        cells = {"tp": (1, 1), "fp": (0, 1), "tn": (0, 0), "fn": (1, 0)}
+        for name, (truth, predicted) in cells.items():
+            expected = sum(r.truth == truth and r.predicted == predicted for r in records)
+            assert getattr(counts, name) == expected
+
 
 class TestF1:
     def test_hand_value(self):
