@@ -190,15 +190,17 @@ def _parse_rows(text: str, path: Path) -> tuple[np.ndarray, list[int]]:
 
 
 def write_chunk_csv(chunk: Chunk, path) -> None:
-    """Write a chunk in the layout read_chunk_csv expects: a header row,
-    then one row per instance. Floats use their shortest round-trip
-    representation; lines end with LF."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([f"f{i}" for i in range(chunk.dimensionality)] + ["label"])
-        for row, label in zip(chunk.features.tolist(), chunk.labels.tolist()):
-            writer.writerow([repr(v) for v in row] + [label])
+    """Write a chunk in the layout read_chunk_csv expects: a header row, then
+    one streamed line per instance, its float reprs and label joined by commas
+    (csv.writer's bytes, as no cell needs quoting). Floats use their shortest
+    round-trip representation; lines end with LF."""
+    sep = "," if chunk.dimensionality else ""  # a zero-width row is its label
+    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join([f"f{i}" for i in range(chunk.dimensionality)] + ["label"]) + "\n")
+        fh.writelines(
+            f"{','.join(map(repr, row))}{sep}{label}\n"
+            for row, label in zip(chunk.features.tolist(), chunk.labels.tolist())
+        )
 
 
 def _boundary_angle(drift: DriftSpec, chunk_index: int) -> float:

@@ -10,9 +10,11 @@ stored-point index and results are reproducible regardless of query
 batching. k argmin passes over the squared distance in matrix-product form
 pick each row's k smallest values in place. A row whose next smallest value
 lies beyond a certified rounding margin of the k-th is scored from the
-picked labels directly. Rows tied or nearly tied at the k-th distance and
-blocks with non-finite inputs scan every stored point: a stable sort of the
-row's exact distances, NaN last, gives the (distance, stored index) order.
+picked labels directly. Rows tied or nearly tied at the k-th distance,
+blocks with non-finite inputs and blocks of fewer than ``_SCAN_CELLS`` query
+and stored point pairs, where the passes' fixed cost outweighs their saving,
+scan every stored point: a stable sort of the row's exact distances, NaN
+last, gives the (distance, stored index) order.
 """
 from __future__ import annotations
 
@@ -26,6 +28,9 @@ __all__ = ["KnnConfig", "KnnModel", "knn_fit", "knn_predict_batch"]
 
 # cap on scratch memory per block of query rows, in float64 cells
 _BLOCK_CELLS = 2_000_000
+# query rows x stored points below which a block takes the exact scan: its
+# measured crossover with the certified path lay at 200-800 (d 2-20, k 1-3)
+_SCAN_CELLS = 400
 
 _EPS = np.finfo(np.float64).eps
 _TINY = np.finfo(np.float64).smallest_subnormal
@@ -184,7 +189,11 @@ def knn_predict_batch(model: KnnModel, queries: np.ndarray) -> tuple[np.ndarray,
     step = max(1, _BLOCK_CELLS // max(1, model.features.size))
     for start in range(0, len(queries), step):
         block = queries[start : start + step]
-        positives[start : start + step] = _euclidean_positives(model.features, model.labels, block, k)
+        if len(block) * model.n_points < _SCAN_CELLS:
+            count = model.labels[_scan(model.features, block, k)].sum(axis=1)
+        else:
+            count = _euclidean_positives(model.features, model.labels, block, k)
+        positives[start : start + step] = count
     scores = positives / k
     labels = (scores > 0.5).astype(np.int64)
     return labels, scores

@@ -387,12 +387,14 @@ class LearnPPModel:
         arrival.
 
         The block may hold at most :attr:`rows_until_flush` rows (ValueError
-        otherwise, before anything changes), so a round can only fire on its
-        last row. When the buffer reaches the configured window size, it
-        becomes a training window: instances misclassified at arrival get
-        double initial weight, one round runs, the new hypotheses join the
-        ensemble, and the buffer clears. With ``window_size=None`` the buffer
-        only converts when the caller invokes :meth:`flush_window`.
+        otherwise), so a round can only fire on its last row, and must be as
+        wide as the buffered rows and the ensemble's models (DimensionError
+        otherwise); either error leaves the model unchanged. When the buffer
+        reaches the configured window size, it becomes a training window:
+        instances misclassified at arrival get double initial weight, one
+        round runs, the new hypotheses join the ensemble, and the buffer
+        clears. With ``window_size=None`` the buffer only converts when the
+        caller invokes :meth:`flush_window`.
 
         If the round fails, RoundFailed propagates and the window is gone
         all the same (see :meth:`flush_window`).
@@ -403,6 +405,13 @@ class LearnPPModel:
         if features.ndim != 2 or labels.shape != features.shape[:1] or missed.shape != labels.shape:
             shapes = f"{features.shape}, {labels.shape} and {missed.shape}"
             raise DimensionError(f"expected (n, d), (n,) and (n,) blocks, got {shapes}")
+        width = features.shape[1]
+        buffered = self._blocks[0][0].shape[1] if self._blocks else width
+        fitted = self.hypotheses[0].model.dimensionality if self.hypotheses else width
+        if (buffered, fitted) != (width, width):
+            raise DimensionError(
+                f"block width {width}, buffered width {buffered}, ensemble width {fitted}"
+            )
         limit = self.rows_until_flush
         if limit is not None and len(labels) > limit:
             raise ValueError(f"block of {len(labels)} rows is longer than rows_until_flush={limit}")

@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -237,6 +240,47 @@ class TestWriteChunkCsv:
             assert back.id == chunk.id
             np.testing.assert_array_equal(back.features, chunk.features)
             np.testing.assert_array_equal(back.labels, chunk.labels)
+
+
+def csv_writer_bytes(chunk):
+    """The chunk file as csv.writer writes it, cell by cell: the reference
+    for the writer's preformatted lines."""
+    out = io.StringIO(newline="")
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow([f"f{i}" for i in range(chunk.dimensionality)] + ["label"])
+    for row, label in zip(chunk.features.tolist(), chunk.labels.tolist()):
+        writer.writerow([repr(v) for v in row] + [label])
+    return out.getvalue().encode("utf-8")
+
+
+class TestWriterBytes:
+    """write_chunk_csv writes the bytes of csv.writer over float reprs."""
+
+    EDGE_VALUES = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e16, 1e-7, 0.1, 1 / 3]
+
+    @staticmethod
+    def assert_csv_writer_bytes(chunk, tmp_path):
+        path = tmp_path / f"{chunk.id}.csv"
+        write_chunk_csv(chunk, path)
+        assert path.read_bytes() == csv_writer_bytes(chunk)
+
+    @pytest.mark.parametrize("value", EDGE_VALUES, ids=repr)
+    def test_edge_value(self, tmp_path, value):
+        chunk = Chunk("edge", [[value, 1.0], [2.5, -value]], [1, 0])
+        self.assert_csv_writer_bytes(chunk, tmp_path)
+
+    @pytest.mark.parametrize("shape", [(0, 3), (0, 0), (2, 0)])
+    def test_empty_and_zero_width_chunks(self, tmp_path, shape):
+        chunk = Chunk("empty", np.zeros(shape), [1] * shape[0])
+        self.assert_csv_writer_bytes(chunk, tmp_path)
+
+    def test_generated_stream(self, tmp_path):
+        spec = StreamSpec(
+            n_chunks=3, chunk_size=200, dimensionality=20, noise=0.05, seed=1,
+            drift=DriftSpec(kind="sudden", at_chunk=2),
+        )
+        for chunk in generate_stream(spec):
+            self.assert_csv_writer_bytes(chunk, tmp_path)
 
 
 class TestSpecValidation:

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from driftpp.errors import DimensionError, EmptyTrainingSet
-from driftpp.knn import KnnConfig, knn_fit, knn_predict_batch
+from driftpp import knn
+from driftpp.knn import KnnConfig, _euclidean_positives, knn_fit, knn_predict_batch
 
 
 def euclidean(a, b):
@@ -138,14 +139,19 @@ class TestNeighborSearchExactness:
     @staticmethod
     def assert_matches_oracle(model, queries):
         """The oracle's answer for every query, asked as one block and as
-        one-row blocks."""
+        one-row blocks, of knn_predict_batch and of the certified path
+        itself, which knn_predict_batch skips for small blocks."""
         labels, scores = knn_predict_batch(model, queries)
+        k = min(model.config.k, model.n_points)
+        counts = _euclidean_positives(model.features, model.labels, queries, k)
         for i, q in enumerate(queries):
             want_label, want_score = brute_force_predict(model, q)
             assert labels[i] == want_label
             assert scores[i] == want_score
+            assert counts[i] / k == want_score
             one_labels, one_scores = knn_predict_batch(model, q[None])
             assert (one_labels[0], one_scores[0]) == (want_label, want_score)
+            assert _euclidean_positives(model.features, model.labels, q[None], k)[0] / k == want_score
 
     @pytest.mark.parametrize("offset", [1e3, 1e6])
     def test_large_offset_coordinates(self, offset):
@@ -254,3 +260,34 @@ class TestNeighborSearchExactness:
         labels, scores = knn_predict_batch(model, np.full((1, 5), np.nan))
         assert scores[0] == pytest.approx(2.0 / 3.0)
         assert labels[0] == 1
+
+
+class TestSmallBlockScan:
+    """knn_predict_batch sends a block of fewer than _SCAN_CELLS query and
+    stored point pairs to the exact scan and any other block to the
+    certified path; either side of the cutoff gives the oracle's answer."""
+
+    @pytest.mark.parametrize("below", [True, False], ids=["below", "at"])
+    @pytest.mark.parametrize("n_points", [3, 7, 40, knn._SCAN_CELLS - 1])
+    def test_parity_across_the_cutoff(self, monkeypatch, n_points, below):
+        n_queries = -(-knn._SCAN_CELLS // n_points) - below
+        gen = np.random.default_rng(n_points + below)
+        # grid rows and queries tie at the k-th distance, normal queries do not
+        rows = gen.integers(0, 3, (n_points, 4)).astype(float)
+        model = knn_fit(KnnConfig(k=3), rows, gen.integers(0, 2, n_points))
+        queries = np.vstack([gen.integers(0, 3, (n_queries, 4)), gen.normal(size=(n_queries, 4))])
+        queries = queries[gen.permutation(len(queries))[:n_queries]]
+        certified = []
+
+        def spy(*args):
+            certified.append(len(args[2]))
+            return _euclidean_positives(*args)
+
+        monkeypatch.setattr(knn, "_euclidean_positives", spy)
+        labels, scores = knn_predict_batch(model, queries)
+        assert certified == ([] if below else [n_queries])
+        k = min(3, n_points)
+        counts = _euclidean_positives(model.features, model.labels, queries, k)
+        for i, q in enumerate(queries):
+            assert (labels[i], scores[i]) == brute_force_predict(model, q)
+            assert counts[i] / k == scores[i]

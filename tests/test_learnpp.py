@@ -533,6 +533,32 @@ class TestModel:
         assert self.state(model) == before
         assert model.rows_until_flush == 3
 
+    def test_block_wider_than_the_buffered_rows_raises_and_changes_nothing(self, rng):
+        # no ensemble yet, so only the buffered rows fix the width
+        config = LearnPPConfig(window_size=None, knn=KnnConfig(k=1), seed=0)
+        refused, clean = LearnPPModel(config), LearnPPModel(config)
+        features, labels = two_cluster_window(6, 2, rng)
+        for model in (refused, clean):
+            model.partial_fit(features, labels, np.ones(6, dtype=bool))
+        with pytest.raises(DimensionError):
+            refused.partial_fit(np.zeros((2, 3)), [0, 1], [True, True])
+        assert self.state(refused) == self.state(clean)
+        for model in (refused, clean):
+            model.flush_window()
+        assert refused.windows_completed == 1
+        assert self.state(refused) == self.state(clean)
+
+    def test_block_narrower_than_the_ensemble_raises_and_changes_nothing(self, rng):
+        # an empty buffer, so only the ensemble's models fix the width
+        model = LearnPPModel(LearnPPConfig(window_size=None, knn=KnnConfig(k=1), seed=0))
+        model.fit_initial(*two_cluster_window(8, 3, rng))
+        before = self.state(model)
+        features, labels = two_cluster_window(4, 2, rng)
+        with pytest.raises(DimensionError):
+            model.partial_fit(features, labels, np.ones(4, dtype=bool))
+        assert self.state(model) == before
+        assert model.buffer_size == 0
+
     def test_buffer_holds_copies(self, rng):
         config = LearnPPConfig(window_size=6, knn=KnnConfig(k=1), seed=0)
         initial = two_cluster_window(12, 2, rng)
