@@ -21,7 +21,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .core import Chunk, PredictionRecord, validate_chunk, standardize_chunk
 from .errors import (
@@ -273,26 +273,29 @@ def process_chunk(
 
 def run_experiment(
     initial: Chunk,
-    chunks: Sequence[Chunk],
+    chunks: Iterable[Chunk],
     config: RunConfig,
     record_sink: RecordSink | None = None,
 ) -> list[ChunkReport]:
     """Pretrain on the initial chunk, then fold in every adaptive chunk.
 
-    Returns one report per chunk, the initial-classifier report first.
-    Per-instance records stream through ``record_sink`` as each chunk
-    finishes, so memory stays bounded by the largest chunk.
+    ``chunks`` is pulled once, one chunk at a time, so it may be a
+    generator. Returns one report per chunk, the initial-classifier report
+    first. Per-instance records stream through ``record_sink`` as each
+    chunk finishes, so memory stays bounded by the largest chunk. A chunk
+    whose id an earlier chunk had raises ValueError when it arrives, after
+    the earlier chunks' records have gone to the sink.
     """
-    ids = [initial.id] + [chunk.id for chunk in chunks]
-    if len(set(ids)) != len(ids):
-        duplicates = sorted({cid for cid in ids if ids.count(cid) > 1})
-        raise ValueError(f"chunk ids must be unique, duplicated: {duplicates}")
     model, initial_report, initial_records = pretrain(initial, config)
     if record_sink is not None:
         for record in initial_records:
             record_sink(record)
     reports = [initial_report]
+    seen = {initial.id}
     for chunk in chunks:
+        if chunk.id in seen:
+            raise ValueError(f"chunk ids must be unique, duplicated: {chunk.id!r}")
+        seen.add(chunk.id)
         report, records = process_chunk(model, chunk, config, history=reports)
         if record_sink is not None:
             for record in records:

@@ -210,8 +210,6 @@ def cmd_generate(args: argparse.Namespace) -> int:
 def cmd_run(args: argparse.Namespace) -> int:
     config_path = Path(args.config)
     values = _load_config(config_path, _RUN_KEYS, _RUN_REQUIRED)
-    if args.seed is not None:
-        values["seed"] = args.seed
     with _checked_values(config_path):
         config = _build(RunConfig, values)
     # config paths are relative to the config file; `/` keeps an absolute one
@@ -310,7 +308,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run the adaptive pipeline over chunk files")
     run.add_argument("--config", required=True, help="key=value run config file")
     run.add_argument("--out", required=True, help="output directory for reports.csv and records.jsonl")
-    run.add_argument("--seed", type=int, default=None, help="override the config seed")
     run.set_defaults(func=cmd_run)
 
     gen = sub.add_parser("generate", help="generate a synthetic chunked stream")

@@ -3,12 +3,12 @@
 CSV layout: a header row naming the columns (f0..f{d-1},label as written
 here), then one row per instance, feature columns first, the binary label
 last. A file is read as UTF-8, with a leading byte-order mark dropped, and a
-first row of numbers is rejected as a file without a header. The reader
-checks format only (the header, row widths, cells that parse as numbers,
-labels in {0, 1}); ``nan``, ``inf`` and ``-inf`` cells are read as data, and
-the pipeline judges them (:func:`driftpp.core.validate_chunk`). Floats are
-written in shortest round-trip form, so write followed by read reproduces a
-chunk exactly, non-finite values included.
+first row of numbers is rejected as a file without a header. One
+``np.loadtxt`` call reads the rows; a file it refuses, or whose widths or
+labels are wrong, is walked row by row only to name its bad row. The reader
+checks format only: ``nan``, ``inf`` and ``-inf`` cells are read as data,
+and the pipeline judges them (:func:`driftpp.core.validate_chunk`). Floats
+are written in shortest round-trip form, so a write then a read is exact.
 
 The generator draws two Gaussian clusters on opposite sides of a linear
 decision boundary and labels each point by the side of the boundary it falls
@@ -89,6 +89,8 @@ class StreamSpec:
             raise ValueError(f"class_balance must lie in (0, 1), got {self.class_balance}")
         if not 0.0 <= self.noise < 1.0:
             raise ValueError(f"noise must lie in [0, 1), got {self.noise}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def read_text(path, error: type[DriftppError]) -> str:
@@ -102,19 +104,34 @@ def read_text(path, error: type[DriftppError]) -> str:
 
 
 def read_chunk_csv(path) -> Chunk:
-    """Parse a chunk file. The chunk id is the file's stem.
+    """Parse a chunk file in one ``np.loadtxt`` call. The chunk id is the
+    file's stem; a file with only its header is an empty chunk.
 
     Checks format only: raises RaggedRowError on inconsistent column counts,
     LabelError on a label outside {0, 1}, and ChunkFormatError on anything
     else, naming the offending 1-based row, or only the file when it is not
-    UTF-8 text. Non-finite features are read as data.
+    UTF-8 text or spells a number that ``np.loadtxt`` does not read, such as
+    ``1_0``. Non-finite features are read as data.
     """
     path = Path(path)
     text = read_text(path, ChunkFormatError)
-    table = _load_table(text, path)
-    if table is None:
-        table = _parse_rows(text, path)
-    return Chunk(path.stem, *table)
+    fh = io.StringIO(text)
+    # the header goes through the csv module, so a quoted comma or newline
+    # in a column name counts as the row scan counts it
+    width = _read_header(csv.reader(fh), path)
+    try:
+        with warnings.catch_warnings():
+            # a file with no data rows is an empty chunk
+            warnings.simplefilter("ignore", UserWarning)
+            table = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"', ndmin=2)
+    except ValueError as exc:
+        raise _bad_row(text, path, str(exc)) from None
+    if not len(table):
+        table = np.empty((0, width))
+    labels = table[:, -1]
+    if table.shape[1] != width or not ((labels == 0.0) | (labels == 1.0)).all():
+        raise _bad_row(text, path, f"its rows are not {width} columns ending in a 0 or 1 label")
+    return Chunk(path.stem, table[:, :-1], labels)
 
 
 def _read_header(reader, path: Path) -> int:
@@ -130,63 +147,31 @@ def _read_header(reader, path: Path) -> int:
     raise ChunkFormatError(f"{path}: row 1: expected a header, got a row of numbers")
 
 
-def _load_table(text: str, path: Path) -> tuple[np.ndarray, np.ndarray] | None:
-    """(features, labels) of a valid file with at least one row, parsed in
-    one ``np.loadtxt`` call, or None for any file it does not take whole.
-
-    None sends the file to the row loop, which names the offending row of a
-    malformed file and also takes cells that ``float()`` parses and
-    ``np.loadtxt`` does not, such as ``1_0`` or non-ASCII digits.
-    """
-    fh = io.StringIO(text)
-    # the header goes through the csv module, so a quoted comma or newline
-    # in a column name counts as the row loop counts it
-    width = _read_header(csv.reader(fh), path)
-    try:
-        with warnings.catch_warnings():
-            # a file with no data rows is the loop's to judge
-            warnings.simplefilter("ignore", UserWarning)
-            table = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"', ndmin=2)
-    except ValueError:
-        return None
-    if table.size == 0 or table.shape[1] != width:
-        return None
-    features, labels = table[:, :-1], table[:, -1]
-    if not ((labels == 0.0) | (labels == 1.0)).all():
-        return None
-    return features, labels
-
-
-def _parse_rows(text: str, path: Path) -> tuple[np.ndarray, list[int]]:
-    """(features, labels) of a file parsed cell by cell with
-    ``float()``, raising on the first malformed row. Rows are numbered from
-    the header's 1, blank rows included."""
-    features: list[list[float]] = []
-    labels: list[int] = []
+def _bad_row(text: str, path: Path, reason: str) -> DriftppError:
+    """The error naming the first malformed row of a file that ``np.loadtxt``
+    refused (rows count from the header's 1, blank rows too), or, with no such
+    row, a ChunkFormatError naming the file and giving ``reason``."""
     reader = csv.reader(io.StringIO(text))
     width = _read_header(reader, path)
     for row_no, row in enumerate(reader, start=2):
         if not row:
             continue
         if len(row) != width:
-            raise RaggedRowError(f"{path}: row {row_no} has {len(row)} columns, expected {width}")
-        values = []
+            return RaggedRowError(f"{path}: row {row_no} has {len(row)} columns, expected {width}")
         for col, cell in enumerate(row[:-1]):
             try:
-                values.append(float(cell))
+                float(cell)
             except ValueError:
-                raise ChunkFormatError(
+                return ChunkFormatError(
                     f"{path}: row {row_no}, column {col}: cannot parse {cell!r} as a number"
-                ) from None
+                )
         try:
             label_value = float(row[-1])
         except ValueError:
-            raise LabelError(f"{path}: row {row_no}: cannot parse label {row[-1]!r}") from None
+            return LabelError(f"{path}: row {row_no}: cannot parse label {row[-1]!r}")
         if label_value not in (0.0, 1.0):
-            raise LabelError(f"{path}: row {row_no}: label {row[-1]!r} not in {{0, 1}}")
-        features.append(values)
-        labels.append(int(label_value))
-    return np.array(features, dtype=np.float64).reshape(len(features), width - 1), labels
+            return LabelError(f"{path}: row {row_no}: label {row[-1]!r} not in {{0, 1}}")
+    return ChunkFormatError(f"{path}: not read by np.loadtxt: {reason}")
 
 
 def write_chunk_csv(chunk: Chunk, path) -> None:

@@ -100,6 +100,8 @@ class LearnPPConfig:
             raise ValueError(
                 f"max_window_ensembles must be >= 1, got {self.max_window_ensembles}"
             )
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True, eq=False)

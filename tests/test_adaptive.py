@@ -404,6 +404,33 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="same"):
             run_experiment(initial, [cluster_chunk("same", 100, seed=2)], config)
 
+    def test_generator_gives_the_list_reports_and_records(self):
+        initial = cluster_chunk("chunk_000", 150, seed=70)
+        chunks = [cluster_chunk(f"chunk_{i:03d}", 150, seed=70 + i) for i in range(1, 4)]
+        from_list, from_generator, sunk_at_pull = [], [], []
+
+        def arriving():
+            for chunk in chunks:
+                sunk_at_pull.append(len(from_generator))
+                yield chunk
+
+        want = run_experiment(initial, chunks, small_config(), record_sink=from_list.append)
+        got = run_experiment(initial, arriving(), small_config(), record_sink=from_generator.append)
+        assert [report.chunk_id for report in got] == ["chunk_000", "chunk_001", "chunk_002", "chunk_003"]
+        assert got == want
+        assert from_generator == from_list
+        # each chunk is pulled only after the one before it reached the sink
+        assert sunk_at_pull == [150, 300, 450]
+
+    def test_duplicate_id_in_a_generator_raises_when_it_arrives(self):
+        initial = cluster_chunk("chunk_000", 150, seed=80)
+        chunks = [cluster_chunk("chunk_001", 150, seed=81), cluster_chunk("chunk_001", 150, seed=82)]
+        collected = []
+        with pytest.raises(ValueError, match="chunk_001"):
+            run_experiment(initial, iter(chunks), small_config(), record_sink=collected.append)
+        # the chunks before the repeat went through the sink first
+        assert [record.chunk_id for record in collected] == ["chunk_000"] * 150 + ["chunk_001"] * 150
+
     def test_sink_streams_every_record(self):
         config = small_config()
         initial = cluster_chunk("chunk_000", 150, seed=40)

@@ -278,19 +278,6 @@ class TestRun:
         )
         assert (out / "records.jsonl").read_text(encoding="utf-8") == want
 
-    def test_seed_option_overrides_config(self, tmp_path, monkeypatch):
-        seeds = []
-
-        def capture(initial, chunks, config, record_sink):
-            seeds.append(config.learnpp.seed)
-            return []
-
-        monkeypatch.setattr(cli, "run_experiment", capture)
-        cfg = run_config_for(tmp_path, generate_stationary(tmp_path), seed=7)
-        for extra in ([], ["--seed", "3"]):
-            assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o"), *extra]) == 0
-        assert seeds == [7, 3]
-
     def test_byte_order_marks_are_dropped(self, tmp_path):
         # a config and chunk files saved with a UTF-8 byte-order mark run as
         # they do without it
@@ -541,6 +528,12 @@ class TestInputErrors:
         if case == "n_chunks":
             cfg = write_config(tmp_path / "gen.cfg", n_chunks=0, chunk_size=10, dimensionality=3)
             return ["generate", "--config", str(cfg)] + out, str(cfg)
+        if case == "generate_seed":
+            cfg = write_config(tmp_path / "gen.cfg", n_chunks=1, chunk_size=10, dimensionality=3, seed=-1)
+            return ["generate", "--config", str(cfg)] + out, f"{cfg}: seed must be >= 0, got -1"
+        if case == "run_seed":
+            cfg = write_config(tmp_path / "run.cfg", initial_chunk="a.csv", chunks="b.csv", seed=-1)
+            return ["run", "--config", str(cfg)] + out, f"{cfg}: seed must be >= 0, got -1"
         if case in ("knn_k", "error_threshold"):
             bad = {"knn_k": 0, "error_threshold": 0.9}[case]
             cfg = write_config(tmp_path / "run.cfg", initial_chunk="a.csv", chunks="b.csv", **{case: bad})
@@ -600,7 +593,7 @@ class TestInputErrors:
             "pc_count", "n_chunks", "knn_k", "error_threshold", "drift_f1_drop", "drift_f1_drop_nan",
             "record_chunk_id", "record_index", "repeated_chunk", "record_score", "config_not_utf8",
             "records_not_utf8", "chunk_not_utf8", "out_is_a_file", "headerless_chunk", "records_resumed",
-            "records_index",
+            "records_index", "generate_seed", "run_seed",
         ],
     )
     def test_exits_one_with_error_line(self, case, tmp_path, capsys):
@@ -609,6 +602,7 @@ class TestInputErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and name in err
         assert not (tmp_path / "out" / "records.jsonl").exists()
+        assert not (tmp_path / "out").is_dir()
 
 
 class TestTracedSeams:

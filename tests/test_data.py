@@ -1,5 +1,6 @@
 import csv
 import io
+import re
 
 import numpy as np
 import pytest
@@ -8,11 +9,8 @@ from driftpp.core import Chunk
 from driftpp.data import (
     DriftSpec,
     StreamSpec,
-    _load_table,
-    _parse_rows,
     generate_stream,
     read_chunk_csv,
-    read_text,
     write_chunk_csv,
 )
 from driftpp.errors import ChunkFormatError, LabelError, RaggedRowError
@@ -134,36 +132,35 @@ class TestReadChunkCsv:
 
 
 class TestReadPathParity:
-    """read_chunk_csv takes a well-formed file whole with np.loadtxt and
-    sends any other file to the row loop; a file either path reads gives
-    the loop's chunk."""
+    """read_chunk_csv parses a file in one np.loadtxt call, and walks the
+    rows of a file that call refuses only to name its bad row: a file is
+    read as the arrays it spells, or refused with an error naming it."""
 
     @pytest.mark.parametrize(
-        "text, whole",
+        "text, features, labels",
         [
-            ('"f,0",f1,label\n"1.5",2.0,"1"\n-3," 4e-1 ",0\n', True),
-            ("f0,label\n1.0,0\n\n\n2.0,1\n\n", True),
-            ("f0,label\r\n1.5,0\r\n-0.25,1\r\n", True),
-            ("f0,f1,label\n", False),
-            ("f0,label\n1_0,1\n2.5,0\n", False),
-            ("f0,label\n\u0661\u0662,1\n", False),
+            ('"f,0",f1,label\n"1.5",2.0,"1"\n-3," 4e-1 ",0\n', [[1.5, 2.0], [-3.0, 0.4]], [1, 0]),
+            ("f0,label\n1.0,0\n\n\n2.0,1\n\n", [[1.0], [2.0]], [0, 1]),
+            ("f0,label\r\n1.5,0\r\n-0.25,1\r\n", [[1.5], [-0.25]], [0, 1]),
+            ("f0,f1,label\n", np.zeros((0, 2)), []),
         ],
-        ids=["quoted", "blank-lines", "crlf", "header-only", "underscore", "non-ascii-digits"],
+        ids=["quoted", "blank-lines", "crlf", "header-only"],
     )
-    def test_same_chunk_as_row_loop(self, tmp_path, text, whole):
+    def test_reads_the_arrays_the_file_spells(self, tmp_path, text, features, labels):
         path = tmp_path / "x.csv"
         path.write_bytes(text.encode("utf-8"))
-        decoded = read_text(path, ChunkFormatError)
-        features, labels = _parse_rows(decoded, path)
-        table = _load_table(decoded, path)
-        assert (table is not None) == whole
-        if table is not None:
-            np.testing.assert_array_equal(table[0], features)
-            np.testing.assert_array_equal(table[1], labels)
         chunk = read_chunk_csv(path)
-        assert chunk.features.shape == features.shape
+        assert chunk.features.shape == np.shape(features)
         np.testing.assert_array_equal(chunk.features, features)
         np.testing.assert_array_equal(chunk.labels, labels)
+
+    @pytest.mark.parametrize("cell", ["1_0", "\u0661\u0662"], ids=["underscore", "non-ascii-digits"])
+    def test_number_that_loadtxt_does_not_read_is_refused(self, tmp_path, cell):
+        # float() reads these spellings; the one parser does not
+        path = tmp_path / "x.csv"
+        path.write_bytes(f"f0,label\n{cell},1\n2.5,0\n".encode("utf-8"))
+        with pytest.raises(ChunkFormatError, match=f"^{re.escape(str(path))}: not read by np.loadtxt: "):
+            read_chunk_csv(path)
 
     @pytest.mark.parametrize("blank", ["   ", "\t", " \t "])
     def test_whitespace_only_line_is_a_ragged_row(self, tmp_path, blank):
@@ -228,8 +225,6 @@ class TestWriteChunkCsv:
         np.testing.assert_array_equal(back.features, chunk.features)
         np.testing.assert_array_equal(np.signbit(back.features), np.signbit(chunk.features))
         np.testing.assert_array_equal(back.labels, chunk.labels)
-        # the row loop reads them alike
-        np.testing.assert_array_equal(_parse_rows(path.read_text(), path)[0], chunk.features)
 
     def test_generated_stream_round_trips(self, tmp_path):
         spec = StreamSpec(n_chunks=2, chunk_size=50, dimensionality=4, seed=8)
@@ -306,6 +301,7 @@ class TestSpecValidation:
             {"n_chunks": 1, "chunk_size": 10, "dimensionality": 1},
             {"n_chunks": 1, "chunk_size": 10, "dimensionality": 3, "class_balance": 0.0},
             {"n_chunks": 1, "chunk_size": 10, "dimensionality": 3, "noise": 1.0},
+            {"n_chunks": 1, "chunk_size": 10, "dimensionality": 3, "seed": -1},
         ],
     )
     def test_stream_spec_rejects(self, kwargs):

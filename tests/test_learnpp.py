@@ -54,6 +54,7 @@ class TestConfig:
             {"max_window_ensembles": 0},
             {"error_threshold": 0.6},
             {"error_threshold": 0.9},
+            {"seed": -1},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
