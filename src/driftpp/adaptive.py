@@ -23,7 +23,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
-from .core import Chunk, PredictionRecord, validate_chunk, standardize_chunk
+import numpy as np
+
+from .core import Chunk, PredictionRecord, Records, validate_chunk, standardize_chunk
 from .errors import (
     DegenerateData,
     DimensionError,
@@ -49,7 +51,7 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-RecordSink = Callable[[PredictionRecord], None]
+RecordSink = Callable[[Records], None]
 
 
 @dataclass(frozen=True)
@@ -139,9 +141,10 @@ def chunk_report(
     config: RunConfig,
     error: str | None = None,
 ) -> ChunkReport:
-    """Summarize one chunk's records. ``history`` holds the reports of the
-    preceding chunks, whose F1 values form the drift-alarm baseline; AUC is
-    NaN when the records hold fewer than two classes."""
+    """Summarize one chunk's records, a :class:`Records` block or any
+    sequence of :class:`PredictionRecord`. ``history`` holds the reports of
+    the preceding chunks, whose F1 values form the drift-alarm baseline; AUC
+    is NaN when the records hold fewer than two classes."""
     counts = confusion(records)
     try:
         auc_value = auc(records) if records else math.nan
@@ -182,15 +185,7 @@ def _reduce_valid(chunk: Chunk, pc_count: int) -> Chunk | str:
         return f"chunk {chunk.id} cannot be reduced: {exc}"
 
 
-def _records(chunk_id: str, truth, predicted, scores, start: int = 0) -> list[PredictionRecord]:
-    """Records of a block of instances, the first at arrival position ``start``."""
-    rows = zip(truth.tolist(), predicted.tolist(), scores.tolist())
-    return [PredictionRecord(chunk_id, i, *row) for i, row in enumerate(rows, start)]
-
-
-def pretrain(
-    initial: Chunk, config: RunConfig
-) -> tuple[LearnPPModel, ChunkReport, list[PredictionRecord]]:
+def pretrain(initial: Chunk, config: RunConfig) -> tuple[LearnPPModel, ChunkReport, Records]:
     """Train the starting ensemble on the initial chunk.
 
     Runs one full-window round under uniform weights, then scores the
@@ -215,7 +210,7 @@ def pretrain(
     except RoundFailed as exc:
         raise PretrainFailed(f"initial training round failed: {exc}") from exc
     predicted, scores = model.predict(reduced.features)
-    records = _records(initial.id, reduced.labels, predicted, scores)
+    records = Records(initial.id, reduced.labels, predicted, scores)
     report = chunk_report(initial.id, records, history=(), config=config)
     return model, report, records
 
@@ -225,7 +220,7 @@ def process_chunk(
     chunk: Chunk,
     config: RunConfig,
     history: Sequence[ChunkReport] = (),
-) -> tuple[ChunkReport, list[PredictionRecord]]:
+) -> tuple[ChunkReport, Records]:
     """Evaluate and absorb one chunk in arrival order.
 
     Each instance is predicted, recorded and compared against the revealed
@@ -234,7 +229,8 @@ def process_chunk(
     chunk-aligned windows), during which the ensemble cannot change, are
     predicted as one block and absorbed as one block. With chunk-aligned
     windows the chunk is one segment, flushed into one training round at
-    the end. ``history`` supplies the drift-alarm baseline.
+    the end. ``history`` supplies the drift-alarm baseline. The chunk's
+    records come back as one :class:`Records` block.
 
     A failed training round drops its window and the chunk goes on, so
     every instance is recorded; the report carries the first failure note
@@ -244,29 +240,29 @@ def process_chunk(
     """
     if not model.hypotheses:
         raise EmptyEnsemble("model has no hypotheses; pretrain before processing chunks")
-    if len(chunk) == 0:
-        return chunk_report(chunk.id, [], history, config), []
-    reduced = _reduce_valid(chunk, config.pc_count)
+    reduced = _reduce_valid(chunk, config.pc_count) if len(chunk) else chunk
     if isinstance(reduced, str):
         logger.error("%s", reduced)
-        return chunk_report(chunk.id, [], history, config, error=reduced), []
+        records = Records(chunk.id, [], [], [])
+        return chunk_report(chunk.id, records, history, config, error=reduced), records
     features, labels = reduced.features, reduced.labels
-    records: list[PredictionRecord] = []
+    predicted = np.empty(len(labels), dtype=np.int64)
+    scores = np.empty(len(labels))
     error_note: str | None = None
     start = 0
     while start < len(labels):
         stop = min(len(labels), start + (model.rows_until_flush or len(labels)))
-        predicted, scores = model.predict(features[start:stop])
+        predicted[start:stop], scores[start:stop] = model.predict(features[start:stop])
         truth = labels[start:stop]
-        records += _records(chunk.id, truth, predicted, scores, start)
         try:
-            model.partial_fit(features[start:stop], truth, predicted == truth)
+            model.partial_fit(features[start:stop], truth, predicted[start:stop] == truth)
             if model.config.window_size is None:
                 model.flush_window()
         except RoundFailed as exc:
             error_note = error_note or str(exc)
             logger.error("chunk %s: training round failed (%s)", chunk.id, exc)
         start = stop
+    records = Records(chunk.id, labels, predicted, scores)
     report = chunk_report(chunk.id, records, history, config, error=error_note)
     return report, records
 
@@ -281,15 +277,15 @@ def run_experiment(
 
     ``chunks`` is pulled once, one chunk at a time, so it may be a
     generator. Returns one report per chunk, the initial-classifier report
-    first. Per-instance records stream through ``record_sink`` as each
-    chunk finishes, so memory stays bounded by the largest chunk. A chunk
-    whose id an earlier chunk had raises ValueError when it arrives, after
-    the earlier chunks' records have gone to the sink.
+    first. Each chunk's records go to ``record_sink`` as one
+    :class:`Records` block when the chunk finishes, so memory stays bounded
+    by the largest chunk. A chunk whose id an earlier chunk had raises
+    ValueError when it arrives, after the earlier chunks' records have gone
+    to the sink.
     """
     model, initial_report, initial_records = pretrain(initial, config)
     if record_sink is not None:
-        for record in initial_records:
-            record_sink(record)
+        record_sink(initial_records)
     reports = [initial_report]
     seen = {initial.id}
     for chunk in chunks:
@@ -298,7 +294,6 @@ def run_experiment(
         seen.add(chunk.id)
         report, records = process_chunk(model, chunk, config, history=reports)
         if record_sink is not None:
-            for record in records:
-                record_sink(record)
+            record_sink(records)
         reports.append(report)
     return reports

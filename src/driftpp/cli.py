@@ -31,7 +31,7 @@ from pathlib import Path
 from typing import get_args, get_type_hints
 
 from .adaptive import ChunkReport, RunConfig, chunk_report, run_experiment
-from .core import PredictionRecord
+from .core import PredictionRecord, Records
 from .data import StreamSpec, generate_stream, read_chunk_csv, read_text, write_chunk_csv
 from .errors import ConfigError, DriftppError
 
@@ -229,19 +229,17 @@ def cmd_run(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     records_path = out_dir / "records.jsonl"
     with records_path.open("w", encoding="utf-8", newline="\n") as records_file:
-        quoted_ids: dict[str, str] = {}
 
-        def sink(record: PredictionRecord) -> None:
-            # the line json.dumps would write for the record's fields: the
+        def sink(records: Records) -> None:
+            # per record, the line json.dumps would write for its fields: the
             # labels are plain ints and the score a float in [0, 1], whose
-            # repr is its JSON form
-            chunk_id = quoted_ids.get(record.chunk_id)
-            if chunk_id is None:
-                chunk_id = quoted_ids[record.chunk_id] = json.dumps(record.chunk_id)
-            records_file.write(
-                f'{{"chunk_id": {chunk_id}, "index": {record.index}, "truth": {record.truth}, '
-                f'"predicted": {record.predicted}, "score": {record.score!r}}}\n'
-            )
+            # repr is its JSON form; a chunk's lines go in one write
+            head = f'{{"chunk_id": {json.dumps(records.chunk_id)}, "index": '
+            rows = zip(records.truth.tolist(), records.predicted.tolist(), records.score.tolist())
+            records_file.write("".join(
+                f'{head}{i}, "truth": {truth}, "predicted": {predicted}, "score": {score!r}}}\n'
+                for i, (truth, predicted, score) in enumerate(rows)
+            ))
 
         reports = run_experiment(initial, chunks, config, record_sink=sink)
 

@@ -4,19 +4,22 @@ A stream arrives as ordered chunks of labeled instances. A chunk is
 columnar: an (n, d) float64 feature matrix and an (n,) int64 label vector,
 and an instance is a row of both, its index the row position. Everything
 downstream (PCA, weak learners, ensemble rounds, the evaluation harness)
-passes these arrays along. :func:`validate_chunk` reports non-finite
-features as (index, reason) pairs rather than raising. All types here are
-immutable after construction and safe to share between threads.
+passes these arrays along, and a chunk's predictions come back the same
+way, as one :class:`Records` block of columns. :func:`validate_chunk`
+reports non-finite features as (index, reason) pairs rather than raising.
+All types here are immutable after construction and safe to share between
+threads.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionError
 
-__all__ = ["Chunk", "PredictionRecord", "validate_chunk", "standardize_chunk"]
+__all__ = ["Chunk", "PredictionRecord", "Records", "validate_chunk", "standardize_chunk"]
 
 
 def _frozen_array(values, dtype) -> np.ndarray:
@@ -95,6 +98,74 @@ class PredictionRecord:
         if not 0.0 <= score <= 1.0:
             raise ValueError(f"score {score} outside [0, 1]")
         object.__setattr__(self, "score", score)
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Records(Sequence):
+    """The prediction records of one chunk as columns: record i is instance
+    i of chunk ``chunk_id``, with ``truth[i]``, ``predicted[i]`` and
+    ``score[i]``.
+
+    The columns are read-only (n,) copies, int64 for the labels and float64
+    for the score, checked once by the rules :class:`PredictionRecord`
+    applies to each record. Indexing and iteration give
+    :class:`PredictionRecord` values; a slice gives a list of them. Two
+    blocks are equal when their chunk ids and columns are.
+    """
+
+    chunk_id: str
+    truth: np.ndarray
+    predicted: np.ndarray
+    score: np.ndarray
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.chunk_id, str):
+            raise ValueError(f"chunk_id {self.chunk_id!r} is not a string")
+        columns = {name: np.asarray(getattr(self, name)) for name in ("truth", "predicted", "score")}
+        if len({column.shape for column in columns.values()}) != 1 or columns["truth"].ndim != 1:
+            shapes = ", ".join(str(column.shape) for column in columns.values())
+            raise ValueError(f"expected three (n,) columns, got shapes {shapes}")
+        for name in ("truth", "predicted"):
+            column = columns[name]
+            if column.dtype.kind not in "biuf" or not ((column == 0) | (column == 1)).all():
+                raise ValueError(f"{name} holds a value that is not 0 or 1")
+            object.__setattr__(self, name, _frozen_array(column, np.int64))
+        if columns["score"].dtype.kind not in "iuf":
+            raise ValueError(f"score of dtype {columns['score'].dtype} is not a number")
+        score = _frozen_array(columns["score"], np.float64)
+        if not ((score >= 0.0) & (score <= 1.0)).all():
+            raise ValueError("score holds a value outside [0, 1]")
+        object.__setattr__(self, "score", score)
+
+    def __len__(self) -> int:
+        return self.truth.size
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(len(self))[index]]
+        i = range(len(self))[index]
+        return PredictionRecord(
+            self.chunk_id, i, self.truth[i].item(), self.predicted[i].item(), self.score[i].item()
+        )
+
+    def __iter__(self):
+        rows = zip(self.truth.tolist(), self.predicted.tolist(), self.score.tolist())
+        return (PredictionRecord(self.chunk_id, i, *row) for i, row in enumerate(rows))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Records):
+            return NotImplemented
+        return self.chunk_id == other.chunk_id and all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in ("truth", "predicted", "score")
+        )
+
+    def __repr__(self) -> str:
+        # tolist() spells every float exactly, where numpy's repr rounds
+        return (
+            f"Records(chunk_id={self.chunk_id!r}, truth={self.truth.tolist()}, "
+            f"predicted={self.predicted.tolist()}, score={self.score.tolist()})"
+        )
 
 
 def validate_chunk(chunk: Chunk) -> tuple[tuple[int, str], ...]:

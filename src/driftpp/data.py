@@ -110,8 +110,9 @@ def read_chunk_csv(path) -> Chunk:
     Checks format only: raises RaggedRowError on inconsistent column counts,
     LabelError on a label outside {0, 1}, and ChunkFormatError on anything
     else, naming the offending 1-based row, or only the file when it is not
-    UTF-8 text or spells a number that ``np.loadtxt`` does not read, such as
-    ``1_0``. Non-finite features are read as data.
+    UTF-8 text. A cell is a number as ``np.loadtxt`` spells one, so ``1_0``
+    or non-ASCII digits name their row too. Non-finite features are read as
+    data.
     """
     path = Path(path)
     text = read_text(path, ChunkFormatError)
@@ -147,6 +148,14 @@ def _read_header(reader, path: Path) -> int:
     raise ChunkFormatError(f"{path}: row 1: expected a header, got a row of numbers")
 
 
+def _number(cell: str) -> float:
+    """The cell as ``np.loadtxt`` reads it: ``float()``'s spelling without
+    digit-group underscores or non-ASCII characters. ValueError otherwise."""
+    if "_" in cell or not cell.isascii():
+        raise ValueError(f"np.loadtxt does not read {cell!r}")
+    return float(cell)
+
+
 def _bad_row(text: str, path: Path, reason: str) -> DriftppError:
     """The error naming the first malformed row of a file that ``np.loadtxt``
     refused (rows count from the header's 1, blank rows too), or, with no such
@@ -160,13 +169,13 @@ def _bad_row(text: str, path: Path, reason: str) -> DriftppError:
             return RaggedRowError(f"{path}: row {row_no} has {len(row)} columns, expected {width}")
         for col, cell in enumerate(row[:-1]):
             try:
-                float(cell)
+                _number(cell)
             except ValueError:
                 return ChunkFormatError(
                     f"{path}: row {row_no}, column {col}: cannot parse {cell!r} as a number"
                 )
         try:
-            label_value = float(row[-1])
+            label_value = _number(row[-1])
         except ValueError:
             return LabelError(f"{path}: row {row_no}: cannot parse label {row[-1]!r}")
         if label_value not in (0.0, 1.0):

@@ -205,19 +205,25 @@ def normalize_error(e: float) -> float:
 
 
 def _weighted_vote(
-    prediction_rows: Sequence[np.ndarray], vote_weights: Sequence[float], n: int
+    prediction_rows: Sequence[np.ndarray],
+    vote_weights: Sequence[float],
+    n: int,
+    masses: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Composite labels and class-1 scores of n instances from each
     hypothesis's predictions. Each hypothesis adds its vote weight to the
     class it predicts, in hypothesis order; the class with the larger vote
     mass wins and a tie resolves to 0. The score is the class-1 share of the
-    mass (0.5 when no mass was cast)."""
-    mass0 = np.zeros(n)
-    mass1 = np.zeros(n)
+    mass (0.5 when no mass was cast).
+
+    ``masses``, the (class-0, class-1) vote masses that earlier hypotheses
+    cast, are added to in place; without them the masses start at zero.
+    Voting in two calls thus gives the bits of one call over both lists."""
+    mass0, mass1 = (np.zeros(n), np.zeros(n)) if masses is None else masses
     for predictions, weight in zip(prediction_rows, vote_weights):
         ones = predictions == 1
-        mass1[ones] += weight
-        mass0[~ones] += weight
+        np.add(mass1, weight, out=mass1, where=ones)
+        np.add(mass0, weight, out=mass0, where=~ones)
     total = mass0 + mass1
     scores = np.divide(mass1, total, out=np.full(n, 0.5), where=total > 0.0)
     return (mass1 > mass0).astype(np.int64), scores
@@ -266,7 +272,8 @@ def run_round(
     distribution.
 
     The caller should hand in a window containing both classes; prior
-    retained hypotheses participate in every composite evaluation. Each
+    retained hypotheses participate in every composite evaluation: their
+    vote masses are summed once, and each acceptance adds its own. Each
     candidate is fit on the distinct instances of a weight-proportional draw
     (duplicates dropped, so no instance counts twice among its neighbors) and
     judged on the whole window. A perfect candidate gets the floor normalized
@@ -286,15 +293,15 @@ def run_round(
     dist = d0
 
     prior_rows = [knn_predict_batch(hyp.model, features)[0] for hyp in prior]
-    prior_votes = [hyp.vote_weight for hyp in prior]
+    masses = np.zeros(n), np.zeros(n)
+    _weighted_vote(prior_rows, [hyp.vote_weight for hyp in prior], n, masses)
     accepted: list[WeakHypothesis] = []
-    accepted_rows: list[np.ndarray] = []
     consecutive_failures = 0
 
     while len(accepted) < config.n_estimators:
         # fit on the distinct instances drawn: a k-NN given two copies of a
         # heavy instance would echo its label everywhere around it
-        subset_idx = np.unique(sample_training_subset(dist, rng))
+        subset_idx = np.flatnonzero(np.bincount(sample_training_subset(dist, rng), minlength=n))
         candidate = knn_fit(config.knn, features[subset_idx], labels[subset_idx])
         predictions, _ = knn_predict_batch(candidate, features)
         error = _weighted_error(dist, predictions, labels)
@@ -318,13 +325,8 @@ def run_round(
         norm_err = BETA_FLOOR if error == 0.0 else normalize_error(error)
         hypothesis = WeakHypothesis(candidate, norm_err, window_ordinal)
         accepted.append(hypothesis)
-        accepted_rows.append(predictions)
 
-        composite, _ = _weighted_vote(
-            prior_rows + accepted_rows,
-            prior_votes + [hyp.vote_weight for hyp in accepted],
-            n,
-        )
+        composite, _ = _weighted_vote([predictions], [hypothesis.vote_weight], n, masses)
         comp_error = _weighted_error(dist, composite, labels)
         if comp_error == 0.0:
             # the ensemble already masters this window; keep weights as-is
@@ -436,11 +438,10 @@ class LearnPPModel:
             return
         blocks, self._blocks, self._buffered = self._blocks, [], 0
         features, labels, missed = (np.concatenate(column) for column in zip(*blocks))
-        present = np.unique(labels)
-        if len(present) < 2:
+        if labels.min() == labels.max():
             logger.warning(
                 "window %d holds only class %d; dropping %d buffered instances",
-                self.windows_completed, present[0], len(labels),
+                self.windows_completed, labels[0], len(labels),
             )
             self.windows_completed += 1
             return

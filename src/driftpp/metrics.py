@@ -1,4 +1,9 @@
-"""Binary classification metrics over prediction records. Class 1 is positive."""
+"""Binary classification metrics over prediction records. Class 1 is positive.
+
+Each metric takes a :class:`~driftpp.core.Records` block and reads its
+columns, or any sequence of :class:`~driftpp.core.PredictionRecord`, which
+is turned into columns once.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -6,7 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import PredictionRecord
+from .core import PredictionRecord, Records
 from .errors import UndefinedAUC
 
 __all__ = ["ConfusionCounts", "confusion", "f1", "fnr", "auc"]
@@ -26,6 +31,8 @@ class ConfusionCounts:
 
 def _columns(records: Sequence[PredictionRecord]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The truth, predicted and score columns of the records."""
+    if isinstance(records, Records):
+        return records.truth, records.predicted, records.score
     truth = np.array([record.truth for record in records], dtype=np.int64)
     predicted = np.array([record.predicted for record in records], dtype=np.int64)
     scores = np.array([record.score for record in records], dtype=np.float64)

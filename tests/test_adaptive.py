@@ -195,7 +195,7 @@ class TestProcessChunk:
         config = small_config()
         model, first, _ = pretrain(cluster_chunk("initial", 200, seed=1), config)
         report, records = process_chunk(model, Chunk("hollow", np.zeros((0, 4)), []), config, [first])
-        assert records == []
+        assert list(records) == []
         assert report.evaluated_count == 0
         assert math.isnan(report.auc)
         assert report.drift_alarm is False
@@ -277,7 +277,7 @@ class TestSegmentBatching:
         for chunk in chunks:
             buffers.append(batched.buffer_size)
             report, records = process_chunk(batched, chunk, config, [first])
-            assert records == per_instance_records(reference, chunk, config)
+            assert list(records) == per_instance_records(reference, chunk, config)
             assert len(batched.hypotheses) == len(reference.hypotheses)
             assert batched.buffer_size == reference.buffer_size
             assert batched.windows_completed == reference.windows_completed
@@ -358,7 +358,7 @@ class TestChunkFailurePolicy:
         model, first, _ = pretrain(initial, config)
         before = (list(model.hypotheses), model.buffer_size, model.windows_completed)
         report, records = process_chunk(model, bad, config, [first])
-        assert records == []
+        assert list(records) == []
         assert report.error is not None
         assert report.evaluated_count == 0
         assert report.drift_alarm is False
@@ -411,7 +411,7 @@ class TestRunExperiment:
 
         def arriving():
             for chunk in chunks:
-                sunk_at_pull.append(len(from_generator))
+                sunk_at_pull.append(sum(map(len, from_generator)))
                 yield chunk
 
         want = run_experiment(initial, chunks, small_config(), record_sink=from_list.append)
@@ -429,7 +429,9 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="chunk_001"):
             run_experiment(initial, iter(chunks), small_config(), record_sink=collected.append)
         # the chunks before the repeat went through the sink first
-        assert [record.chunk_id for record in collected] == ["chunk_000"] * 150 + ["chunk_001"] * 150
+        assert [record.chunk_id for block in collected for record in block] == (
+            ["chunk_000"] * 150 + ["chunk_001"] * 150
+        )
 
     def test_sink_streams_every_record(self):
         config = small_config()
@@ -437,10 +439,11 @@ class TestRunExperiment:
         chunks = [cluster_chunk(f"chunk_{i:03d}", 150, seed=40 + i) for i in range(1, 3)]
         collected = []
         reports = run_experiment(initial, chunks, config, record_sink=collected.append)
-        assert len(collected) == 150 * 3
+        assert [len(block) for block in collected] == [150] * 3
         by_chunk = {}
-        for record in collected:
-            by_chunk.setdefault(record.chunk_id, []).append(record)
+        for block in collected:
+            for record in block:
+                by_chunk.setdefault(record.chunk_id, []).append(record)
         assert list(by_chunk) == ["chunk_000", "chunk_001", "chunk_002"]
         for report in reports:
             assert report.evaluated_count == len(by_chunk[report.chunk_id])

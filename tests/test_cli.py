@@ -25,7 +25,7 @@ from driftpp.cli import (
     _load_config,
     main,
 )
-from driftpp.core import Chunk, PredictionRecord
+from driftpp.core import Chunk, PredictionRecord, Records
 from driftpp.data import DriftSpec, StreamSpec, generate_stream, read_chunk_csv, write_chunk_csv
 from driftpp.knn import KnnConfig
 from driftpp.learnpp import LearnPPConfig
@@ -257,14 +257,16 @@ class TestRun:
 
     def test_record_lines_are_json_dumps(self, tmp_path, monkeypatch):
         ids = ['caf\u00e9 "\u0394" \\ chunk', "chunk_001"]
-        records = [
-            PredictionRecord(ids[i % 2], i, i % 2, 1 - i % 2, score)
-            for i, score in enumerate([0.0, 1.0, 1 / 3, 5e-324])
+        blocks = [
+            Records(ids[0], [0, 1], [1, 0], [0.0, 1.0]),
+            Records(ids[1], [0, 1], [1, 0], [1 / 3, 5e-324]),
+            Records(ids[0], [], [], []),
         ]
+        records = [record for block in blocks for record in block]
 
         def replay(initial, chunks, config, record_sink):
-            for record in records:
-                record_sink(record)
+            for block in blocks:
+                record_sink(block)
             return []
 
         monkeypatch.setattr(cli, "run_experiment", replay)
@@ -353,9 +355,10 @@ class TestRun:
         out = tmp_path / "results"
         status = main(["run", "--config", str(run_config_for(tmp_path, stream, pc_count=3)), "--out", str(out)])
 
-        records = []
+        blocks = []
         config = RunConfig(learnpp=LearnPPConfig(seed=0), pc_count=3)
-        reports = adaptive.run_experiment(initial, chunks, config, record_sink=records.append)
+        reports = adaptive.run_experiment(initial, chunks, config, record_sink=blocks.append)
+        records = [record for block in blocks for record in block]
         assert status == (2 if any(r.drift_alarm for r in reports) else 0)
         with (out / "reports.csv").open(encoding="utf-8", newline="") as fh:
             assert list(csv.reader(fh))[1:] == [cli._report_row(r) for r in reports]
@@ -663,3 +666,15 @@ class TestEntryPoint:
         )
         assert result.returncode == 0
         assert "{run,generate,report}" in result.stdout
+
+    def test_run_in_a_fresh_interpreter_leaves_numpy_ma_unimported(self, tmp_path):
+        # np.unique imports numpy.ma, about 15 ms and 1.2 MiB of every run
+        stream = generate_stationary(tmp_path)
+        cfg = run_config_for(tmp_path, stream, window_size=40)
+        argv = ["run", "--config", str(cfg), "--out", str(tmp_path / "out")]
+        code = f"import sys; from driftpp.cli import main; print(main({argv!r}), 'numpy.ma' in sys.modules)"
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=child_env(),
+        )
+        assert result.stdout.split() == ["0", "False"], result.stderr
+        assert (tmp_path / "out" / "records.jsonl").stat().st_size > 0

@@ -4,6 +4,7 @@ import pytest
 from driftpp.core import (
     Chunk,
     PredictionRecord,
+    Records,
     standardize_chunk,
     validate_chunk,
 )
@@ -46,6 +47,99 @@ class TestPredictionRecord:
     def test_real_score_stored_as_float(self, score):
         record = PredictionRecord("c", 0, 1, 1, score)
         assert type(record.score) is float and record.score == score
+
+
+class TestRecords:
+    @staticmethod
+    def columns(n=50, seed=0):
+        gen = np.random.default_rng(seed)
+        truth = gen.integers(0, 2, n)
+        predicted = gen.integers(0, 2, n)
+        return truth, predicted, gen.uniform(size=n)
+
+    def test_iteration_gives_the_per_record_values(self):
+        truth, predicted, score = self.columns()
+        block = Records("c", truth, predicted, score)
+        # the records the pipeline built one by one before it built blocks
+        want = [
+            PredictionRecord("c", i, *row)
+            for i, row in enumerate(zip(truth.tolist(), predicted.tolist(), score.tolist()))
+        ]
+        assert list(block) == want
+        assert len(block) == len(want)
+        assert [block[i] for i in range(len(want))] == want
+        assert block[-1] == want[-1]
+        assert block[3:7] == want[3:7]
+        assert all(type(value) is int for record in block for value in (record.truth, record.predicted))
+        assert all(type(record.score) is float for record in block)
+
+    def test_columns_are_read_only_copies(self):
+        truth, predicted, score = self.columns(5)
+        block = Records("c", truth.astype(float), predicted.astype(bool), score.astype(np.float32))
+        truth[:] = 1 - truth
+        assert (block.truth.dtype, block.predicted.dtype, block.score.dtype) == (np.int64, np.int64, np.float64)
+        np.testing.assert_array_equal(block.truth, 1 - truth)
+        for column in (block.truth, block.predicted, block.score):
+            assert not column.flags.writeable
+
+    @pytest.mark.parametrize("value", [2, -1, 0.5, np.nan])
+    def test_label_outside_binary_rejected(self, value):
+        with pytest.raises(ValueError, match="truth holds a value that is not 0 or 1"):
+            Records("c", [0, value], [0, 1], [0.5, 0.5])
+        with pytest.raises(ValueError, match="predicted holds a value that is not 0 or 1"):
+            Records("c", [0, 1], [value, 1], [0.5, 0.5])
+
+    def test_string_label_rejected(self):
+        with pytest.raises(ValueError, match="not 0 or 1"):
+            Records("c", ["0", "1"], [0, 1], [0.5, 0.5])
+
+    @pytest.mark.parametrize("value", [1.5, -0.1, np.nan, np.inf])
+    def test_score_outside_unit_interval_rejected(self, value):
+        with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+            Records("c", [0, 1], [0, 1], [0.5, value])
+
+    @pytest.mark.parametrize("score", [["0.5", "1"], [True, False]], ids=["string", "bool"])
+    def test_string_or_bool_score_rejected(self, score):
+        with pytest.raises(ValueError, match="is not a number"):
+            Records("c", [0, 1], [0, 1], score)
+
+    @pytest.mark.parametrize(
+        "truth, predicted, score",
+        [([0, 1], [0], [0.5, 0.5]), ([0, 1], [0, 1], [0.5]), ([[0, 1]], [[0, 1]], [[0.5, 0.5]])],
+        ids=["predicted", "score", "two-dimensional"],
+    )
+    def test_columns_of_unequal_length_rejected(self, truth, predicted, score):
+        with pytest.raises(ValueError, match=r"expected three \(n,\) columns"):
+            Records("c", truth, predicted, score)
+
+    @pytest.mark.parametrize("chunk_id", [None, 1, ["a"]])
+    def test_chunk_id_must_be_a_string(self, chunk_id):
+        with pytest.raises(ValueError, match="is not a string"):
+            Records(chunk_id, [0], [0], [0.5])
+
+    def test_empty_block(self):
+        block = Records("c", [], [], [])
+        assert len(block) == 0 and list(block) == [] and not block
+
+    def test_equality_is_by_chunk_id_and_columns(self):
+        truth, predicted, score = self.columns(8)
+        block = Records("c", truth, predicted, score)
+        assert block == Records("c", truth.tolist(), predicted, score.tolist())
+        assert block != Records("d", truth, predicted, score)
+        assert block != Records("c", truth, 1 - predicted, score)
+        assert block != list(block)
+
+    def test_repr_spells_every_value_exactly(self):
+        # numpy's array repr rounds to 8 digits, so two runs that differ in
+        # a score's last bit would print alike
+        score = np.array([0.1, 1 / 3, 5e-324])
+        block = Records("c", [0, 1, 1], [1, 1, 0], score)
+        assert repr(block) == (
+            "Records(chunk_id='c', truth=[0, 1, 1], predicted=[1, 1, 0], "
+            "score=[0.1, 0.3333333333333333, 5e-324])"
+        )
+        nudged = Records("c", [0, 1, 1], [1, 1, 0], [0.1, np.nextafter(1 / 3, 1.0), 5e-324])
+        assert repr(nudged) != repr(block)
 
 
 class TestChunk:

@@ -156,10 +156,19 @@ class TestReadPathParity:
 
     @pytest.mark.parametrize("cell", ["1_0", "\u0661\u0662"], ids=["underscore", "non-ascii-digits"])
     def test_number_that_loadtxt_does_not_read_is_refused(self, tmp_path, cell):
-        # float() reads these spellings; the one parser does not
+        # float() reads these spellings; the one parser does not, and the
+        # error names the file's own row: the fifth line, after a blank one
         path = tmp_path / "x.csv"
-        path.write_bytes(f"f0,label\n{cell},1\n2.5,0\n".encode("utf-8"))
-        with pytest.raises(ChunkFormatError, match=f"^{re.escape(str(path))}: not read by np.loadtxt: "):
+        path.write_bytes(f"f0,label\n2.5,0\n0.5,1\n\n{cell},1\n2.5,0\n".encode("utf-8"))
+        message = f"{path}: row 5, column 0: cannot parse {cell!r} as a number"
+        with pytest.raises(ChunkFormatError, match=f"^{re.escape(message)}$"):
+            read_chunk_csv(path)
+
+    @pytest.mark.parametrize("cell", ["1_0", "\u0661"], ids=["underscore", "non-ascii-digit"])
+    def test_label_that_loadtxt_does_not_read_names_its_row(self, tmp_path, cell):
+        path = tmp_path / "x.csv"
+        path.write_bytes(f"f0,label\n2.5,0\n\n0.5,{cell}\n".encode("utf-8"))
+        with pytest.raises(LabelError, match=f"^{re.escape(f'{path}: row 4: cannot parse label {cell!r}')}$"):
             read_chunk_csv(path)
 
     @pytest.mark.parametrize("blank", ["   ", "\t", " \t "])

@@ -143,7 +143,7 @@ class TestNeighborSearchExactness:
         itself, which knn_predict_batch skips for small blocks."""
         labels, scores = knn_predict_batch(model, queries)
         k = min(model.config.k, model.n_points)
-        counts = _euclidean_positives(model.features, model.labels, queries, k)
+        counts = _euclidean_positives(model, queries, k)
         for i, q in enumerate(queries):
             want_label, want_score = brute_force_predict(model, q)
             assert labels[i] == want_label
@@ -151,7 +151,7 @@ class TestNeighborSearchExactness:
             assert counts[i] / k == want_score
             one_labels, one_scores = knn_predict_batch(model, q[None])
             assert (one_labels[0], one_scores[0]) == (want_label, want_score)
-            assert _euclidean_positives(model.features, model.labels, q[None], k)[0] / k == want_score
+            assert _euclidean_positives(model, q[None], k)[0] / k == want_score
 
     @pytest.mark.parametrize("offset", [1e3, 1e6])
     def test_large_offset_coordinates(self, offset):
@@ -280,14 +280,14 @@ class TestSmallBlockScan:
         certified = []
 
         def spy(*args):
-            certified.append(len(args[2]))
+            certified.append(len(args[1]))
             return _euclidean_positives(*args)
 
         monkeypatch.setattr(knn, "_euclidean_positives", spy)
         labels, scores = knn_predict_batch(model, queries)
         assert certified == ([] if below else [n_queries])
         k = min(3, n_points)
-        counts = _euclidean_positives(model.features, model.labels, queries, k)
+        counts = _euclidean_positives(model, queries, k)
         for i, q in enumerate(queries):
             assert (labels[i], scores[i]) == brute_force_predict(model, q)
             assert counts[i] / k == scores[i]

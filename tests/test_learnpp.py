@@ -10,6 +10,7 @@ from driftpp.errors import (
     EmptyWindow,
     RoundFailed,
 )
+from driftpp import learnpp
 from driftpp.knn import KnnConfig, knn_fit, knn_predict_batch
 from driftpp.learnpp import (
     BETA_FLOOR,
@@ -366,6 +367,43 @@ class TestRunRound:
             assert len(np.unique(rows, axis=0)) == len(rows)
             for row, label in zip(rows, hyp.model.labels):
                 assert (row.tobytes(), int(label)) in pairs
+
+    def test_running_vote_masses_match_a_fresh_vote_after_each_acceptance(self, monkeypatch):
+        # run_round sums the prior's vote masses once and adds each
+        # acceptance's own; after every acceptance they must be the masses,
+        # labels and scores of one vote over prior + accepted so far
+        gen = np.random.default_rng(11)
+        features = gen.normal(size=(60, 3))
+        labels = (features[:, 0] + 0.8 * gen.normal(size=60) > 0).astype(int)
+        prior = [random_hypothesis(gen, n_points=12) for _ in range(3)]
+        vote, running = learnpp._weighted_vote, []
+
+        def spy(rows, weights, n, masses=None):
+            result = vote(rows, weights, n, masses)
+            if masses is not None:
+                running.append((*result, masses[0].copy(), masses[1].copy()))
+            return result
+
+        monkeypatch.setattr(learnpp, "_weighted_vote", spy)
+        config = LearnPPConfig(n_estimators=5, seed=0)
+        accepted, _ = run_round(features, labels, init_weights(60), config, gen, prior=prior)
+        assert len(accepted) >= 2
+        # one call sums the prior, then one call per acceptance
+        assert len(running) == 1 + len(accepted)
+        voters = prior + accepted
+        rows = [knn_predict_batch(hyp.model, features)[0] for hyp in voters]
+        weights = [hyp.vote_weight for hyp in voters]
+        for j, (got_labels, got_scores, mass0, mass1) in enumerate(running):
+            m = len(prior) + j
+            want_labels, want_scores = vote(rows[:m], weights[:m], 60)
+            np.testing.assert_array_equal(got_labels, want_labels)
+            assert got_scores.tobytes() == want_scores.tobytes()
+            # the masses themselves, added in voter order outside _weighted_vote
+            want0, want1 = np.zeros(60), np.zeros(60)
+            for predictions, weight in zip(rows[:m], weights[:m]):
+                want1 = np.where(predictions == 1, want1 + weight, want1)
+                want0 = np.where(predictions == 1, want0, want0 + weight)
+            assert (mass0.tobytes(), mass1.tobytes()) == (want0.tobytes(), want1.tobytes())
 
     def test_weights_stay_normalized_every_round(self, rng):
         for seed in range(5):

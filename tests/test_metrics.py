@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from driftpp.core import Records
 from driftpp.errors import UndefinedAUC
 from driftpp.metrics import auc, confusion, f1, fnr
 
@@ -142,3 +143,18 @@ class TestAuc:
         order = rng.permutation(n)
         shuffled = [records[i] for i in order]
         assert auc(shuffled) == pytest.approx(auc(records), abs=1e-12)
+
+
+class TestRecordsBlock:
+    def test_block_and_its_records_give_the_same_metrics(self, rng):
+        # a block's columns are read directly; any other sequence of
+        # records is turned into columns first
+        for ties in (False, True):
+            scores = rng.integers(0, 5, 300) / 4 if ties else rng.uniform(size=300)
+            block = Records("c", rng.integers(0, 2, 300), rng.integers(0, 2, 300), scores)
+            records = list(block)
+            assert confusion(block) == confusion(records)
+            assert auc(block) == auc(records)
+        assert confusion(Records("c", [], [], [])) == confusion([])
+        with pytest.raises(UndefinedAUC):
+            auc(Records("c", [1, 1], [0, 1], [0.5, 0.25]))
