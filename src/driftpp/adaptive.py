@@ -41,6 +41,7 @@ from .pca import pca_fit, pca_transform
 __all__ = [
     "RunConfig",
     "ChunkReport",
+    "UnreadChunk",
     "reduce_chunk",
     "drift_alarm",
     "chunk_report",
@@ -100,6 +101,16 @@ class ChunkReport:
         return self.correct_count + self.incorrect_count
 
 
+@dataclass(frozen=True)
+class UnreadChunk:
+    """Stands in a stream for a chunk whose source could not be read: the
+    chunk's id and why. :func:`process_chunk` gives it an error report and
+    leaves the model untouched, as it does an invalid chunk."""
+
+    id: str
+    reason: str
+
+
 def reduce_chunk(chunk: Chunk, pc_count: int) -> Chunk:
     """Reduce a chunk to ``pc_count`` features and standardize it.
 
@@ -107,6 +118,16 @@ def reduce_chunk(chunk: Chunk, pc_count: int) -> Chunk:
     principal components; chunks already at ``pc_count`` skip the
     projection. Either way the result is standardized per column. A chunk
     whose rows are all the same raises DegenerateData, whatever its width.
+
+    A component whose covariance eigenvalue is within rounding of zero, as
+    when ``pc_count`` exceeds the chunk's rank, becomes an exact zero
+    column, which standardization centres and does not scale. Forming the
+    covariance of an (n, d) chunk sums n rounded products per entry, and
+    ``eigh`` is backward stable, so each eigenvalue carries an absolute
+    error of order ``max(n, d) * eps * lambda_max``; an eigenvalue at or
+    below that cannot be told from zero. It is the tolerance
+    ``numpy.linalg.matrix_rank`` puts on singular values. A chunk whose
+    components all clear it comes out bit for bit as without the test.
     """
     if chunk.dimensionality < pc_count:
         raise DimensionError(
@@ -116,7 +137,13 @@ def reduce_chunk(chunk: Chunk, pc_count: int) -> Chunk:
         raise DegenerateData("every row of the chunk is the same, so it has no variance")
     if chunk.dimensionality > pc_count:
         model = pca_fit(chunk, pc_count)
+        ratios = model.explained_variance_ratio[:pc_count]
+        rounding = ratios <= max(chunk.features.shape) * np.finfo(np.float64).eps * ratios[0]
         chunk = pca_transform(model, chunk, pc_count)
+        if rounding.any():
+            features = chunk.features.copy()
+            features[:, rounding] = 0.0
+            chunk = Chunk(chunk.id, features, chunk.labels)
     return standardize_chunk(chunk)
 
 
@@ -217,7 +244,7 @@ def pretrain(initial: Chunk, config: RunConfig) -> tuple[LearnPPModel, ChunkRepo
 
 def process_chunk(
     model: LearnPPModel,
-    chunk: Chunk,
+    chunk: Chunk | UnreadChunk,
     config: RunConfig,
     history: Sequence[ChunkReport] = (),
 ) -> tuple[ChunkReport, Records]:
@@ -234,13 +261,16 @@ def process_chunk(
 
     A failed training round drops its window and the chunk goes on, so
     every instance is recorded; the report carries the first failure note
-    of the chunk. A chunk that fails validation or cannot be reduced yields
-    a report with the error set and no records, and leaves the model
-    untouched.
+    of the chunk. A chunk that fails validation or cannot be reduced, or an
+    :class:`UnreadChunk`, yields a report with the error set and no
+    records, and leaves the model untouched.
     """
     if not model.hypotheses:
         raise EmptyEnsemble("model has no hypotheses; pretrain before processing chunks")
-    reduced = _reduce_valid(chunk, config.pc_count) if len(chunk) else chunk
+    if isinstance(chunk, UnreadChunk):
+        reduced = f"chunk {chunk.id} cannot be read: {chunk.reason}"
+    else:
+        reduced = _reduce_valid(chunk, config.pc_count) if len(chunk) else chunk
     if isinstance(reduced, str):
         logger.error("%s", reduced)
         records = Records(chunk.id, [], [], [])
@@ -269,19 +299,22 @@ def process_chunk(
 
 def run_experiment(
     initial: Chunk,
-    chunks: Iterable[Chunk],
+    chunks: Iterable[Chunk | UnreadChunk],
     config: RunConfig,
     record_sink: RecordSink | None = None,
 ) -> list[ChunkReport]:
     """Pretrain on the initial chunk, then fold in every adaptive chunk.
 
-    ``chunks`` is pulled once, one chunk at a time, so it may be a
-    generator. Returns one report per chunk, the initial-classifier report
+    ``chunks`` is pulled once, one chunk at a time, and the next chunk only
+    after the last one's records have gone to the sink. So a generator that
+    reads each chunk when it is pulled, as ``driftpp run`` passes, holds one
+    chunk at a time, and memory stays bounded by the largest chunk. An
+    :class:`UnreadChunk` in the stream gets an error report, and the run
+    goes on. Returns one report per chunk, the initial-classifier report
     first. Each chunk's records go to ``record_sink`` as one
-    :class:`Records` block when the chunk finishes, so memory stays bounded
-    by the largest chunk. A chunk whose id an earlier chunk had raises
-    ValueError when it arrives, after the earlier chunks' records have gone
-    to the sink.
+    :class:`Records` block when the chunk finishes. A chunk whose id an
+    earlier chunk had raises ValueError when it arrives, after the earlier
+    chunks' records have gone to the sink.
     """
     model, initial_report, initial_records = pretrain(initial, config)
     if record_sink is not None:

@@ -6,9 +6,17 @@ those of RunConfig and LearnPPConfig as named and KnnConfig's with the
 prefix ``knn_``, plus ``initial_chunk`` and ``chunks``; for generate,
 those of StreamSpec and DriftSpec's with the prefix ``drift_``.
 ``window_size = chunk`` and ``max_window_ensembles = unbounded`` spell
-None. Paths inside a config resolve relative to the config file. Every
-input file is decoded by :func:`driftpp.data.read_text`. The DRIFTPP_LOG
+None. Paths inside a config resolve relative to the config file. Input
+files are read as UTF-8, a leading byte-order mark dropped. The DRIFTPP_LOG
 environment variable (error|warn|info|debug) sets the log level.
+
+``driftpp run`` holds one chunk at a time: it reads the initial chunk file
+before any output, a refused one ending the run, and each adaptive chunk
+file when its turn comes. A refused adaptive file (missing, not UTF-8,
+without a header, ragged, or with a bad cell) gets an error report, its
+reason on stderr, and the run goes on. Each chunk's records reach
+records.jsonl when the chunk ends. ``driftpp report`` reads the records as
+a stream and reports each chunk when its lines end.
 
 Exit codes: 0 success, 1 error, 2 success with at least one drift alarm.
 A closed stdout (``driftpp report ... | head``) ends the command quietly
@@ -30,7 +38,7 @@ from dataclasses import MISSING, asdict, fields, is_dataclass
 from pathlib import Path
 from typing import get_args, get_type_hints
 
-from .adaptive import ChunkReport, RunConfig, chunk_report, run_experiment
+from .adaptive import ChunkReport, RunConfig, UnreadChunk, chunk_report, run_experiment
 from .core import PredictionRecord, Records
 from .data import StreamSpec, generate_stream, read_chunk_csv, read_text, write_chunk_csv
 from .errors import ConfigError, DriftppError
@@ -187,6 +195,11 @@ def _print_report_table(rows: list[list[str]]) -> None:
         print("  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip())
 
 
+def _reason(exc: Exception) -> str:
+    """What an error line says of a failure: a missing file by its path."""
+    return f"file not found: {exc.filename}" if isinstance(exc, FileNotFoundError) else str(exc)
+
+
 def cmd_generate(args: argparse.Namespace) -> int:
     config_path = Path(args.config)
     values = _load_config(config_path, _GENERATE_KEYS, _GENERATE_REQUIRED)
@@ -223,7 +236,15 @@ def cmd_run(args: argparse.Namespace) -> int:
         raise ConfigError(f"{config_path}: chunk file names repeat: {repeated}")
 
     initial = read_chunk_csv(initial_path)
-    chunks = [read_chunk_csv(path) for path in chunk_paths]
+
+    def arriving():
+        # each file is read when run_experiment pulls its chunk
+        for path in chunk_paths:
+            try:
+                chunk = read_chunk_csv(path)
+            except (DriftppError, OSError) as exc:
+                chunk = UnreadChunk(path.stem, _reason(exc))
+            yield chunk
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -233,15 +254,17 @@ def cmd_run(args: argparse.Namespace) -> int:
         def sink(records: Records) -> None:
             # per record, the line json.dumps would write for its fields: the
             # labels are plain ints and the score a float in [0, 1], whose
-            # repr is its JSON form; a chunk's lines go in one write
+            # repr is its JSON form; a chunk's lines go in one write, flushed
+            # so that a reader of the file sees each chunk when it ends
             head = f'{{"chunk_id": {json.dumps(records.chunk_id)}, "index": '
             rows = zip(records.truth.tolist(), records.predicted.tolist(), records.score.tolist())
             records_file.write("".join(
                 f'{head}{i}, "truth": {truth}, "predicted": {predicted}, "score": {score!r}}}\n'
                 for i, (truth, predicted, score) in enumerate(rows)
             ))
+            records_file.flush()
 
-        reports = run_experiment(initial, chunks, config, record_sink=sink)
+        reports = run_experiment(initial, arriving(), config, record_sink=sink)
 
     _write_reports_csv(reports, out_dir / "reports.csv")
     for report in reports:
@@ -256,44 +279,61 @@ def cmd_report(args: argparse.Namespace) -> int:
     with _checked_values("report options"):
         config = _build(RunConfig, vars(args))
     records_path = Path(args.records)
-    # one run's records: each chunk's lines together, indexed 0, 1, 2, ...
-    grouped: dict[str, list[PredictionRecord]] = {}
-    previous = None
-    for line_no, line in enumerate(read_text(records_path, ConfigError).split("\n"), start=1):
-        if not line.strip():
-            continue
-        try:
-            payload = json.loads(line)
-            record = PredictionRecord(
-                chunk_id=payload["chunk_id"],
-                index=payload["index"],
-                truth=payload["truth"],
-                predicted=payload["predicted"],
-                score=payload["score"],
-            )
-        except (ValueError, KeyError, TypeError) as exc:
-            raise ConfigError(f"{records_path}: line {line_no}: {exc}") from None
-        records = grouped.setdefault(record.chunk_id, [])
-        if records and record.chunk_id != previous:
-            raise ConfigError(
-                f"{records_path}: line {line_no}: chunk {record.chunk_id!r} resumes after chunk {previous!r}"
-            )
-        if record.index != len(records):
-            raise ConfigError(
-                f"{records_path}: line {line_no}: index {record.index} of chunk {record.chunk_id!r}, "
-                f"expected {len(records)}"
-            )
-        records.append(record)
-        previous = record.chunk_id
-    if not grouped:
+    try:
+        reports = _stream_reports(records_path, config)
+    except (UnicodeDecodeError, ConfigError):
+        # a file that is not UTF-8 text is refused as that, whatever line the
+        # stream stopped at; the whole-file decode names the bad byte
+        read_text(records_path, ConfigError)
+        raise
+    if not reports:
         print("no records")
         return 0
-
-    reports: list[ChunkReport] = []
-    for chunk_id, records in grouped.items():
-        reports.append(chunk_report(chunk_id, records, reports, config))
     _print_report_table([REPORT_COLUMNS] + [_report_row(report) for report in reports])
     return 0
+
+
+def _stream_reports(records_path: Path, config: RunConfig) -> list[ChunkReport]:
+    """One report per chunk of a records file, each built when the chunk's
+    lines end; only the current chunk's records are held. The file holds
+    one run's records: each chunk's lines together, indexed 0, 1, 2, ..."""
+    reports: list[ChunkReport] = []
+    seen: set[str] = set()
+    records: list[PredictionRecord] = []
+    with records_path.open(encoding="utf-8-sig") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            line = line.removesuffix("\n")
+            if not line.strip():
+                continue
+            try:
+                payload = json.loads(line)
+                record = PredictionRecord(
+                    chunk_id=payload["chunk_id"],
+                    index=payload["index"],
+                    truth=payload["truth"],
+                    predicted=payload["predicted"],
+                    score=payload["score"],
+                )
+            except (ValueError, KeyError, TypeError) as exc:
+                raise ConfigError(f"{records_path}: line {line_no}: {exc}") from None
+            if records and record.chunk_id != records[0].chunk_id:
+                reports.append(chunk_report(records[0].chunk_id, records, reports, config))
+                records = []
+            if not records and record.chunk_id in seen:
+                raise ConfigError(
+                    f"{records_path}: line {line_no}: chunk {record.chunk_id!r} resumes after chunk "
+                    f"{reports[-1].chunk_id!r}"
+                )
+            if record.index != len(records):
+                raise ConfigError(
+                    f"{records_path}: line {line_no}: index {record.index} of chunk {record.chunk_id!r}, "
+                    f"expected {len(records)}"
+                )
+            seen.add(record.chunk_id)
+            records.append(record)
+    if records:
+        reports.append(chunk_report(records[0].chunk_id, records, reports, config))
+    return reports
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -336,12 +376,8 @@ def main(argv: list[str] | None = None) -> int:
         # the reader stopped early; the flush at exit writes to devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
-    except DriftppError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        reason = f"file not found: {exc.filename}" if isinstance(exc, FileNotFoundError) else exc
-        print(f"error: {reason}", file=sys.stderr)
+    except (DriftppError, OSError) as exc:
+        print(f"error: {_reason(exc)}", file=sys.stderr)
         return 1
 
 

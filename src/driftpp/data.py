@@ -4,11 +4,13 @@ CSV layout: a header row naming the columns (f0..f{d-1},label as written
 here), then one row per instance, feature columns first, the binary label
 last. A file is read as UTF-8, with a leading byte-order mark dropped, and a
 first row of numbers is rejected as a file without a header. One
-``np.loadtxt`` call reads the rows; a file it refuses, or whose widths or
-labels are wrong, is walked row by row only to name its bad row. The reader
-checks format only: ``nan``, ``inf`` and ``-inf`` cells are read as data,
-and the pipeline judges them (:func:`driftpp.core.validate_chunk`). Floats
-are written in shortest round-trip form, so a write then a read is exact.
+``np.loadtxt`` call reads the rows from the open file as it streams, so no
+copy of the text is held; a file it refuses, or whose widths or labels are
+wrong, is read again whole and walked row by row only to name its bad row
+or its encoding error. The reader checks format only: ``nan``, ``inf`` and
+``-inf`` cells are read as data, and the pipeline judges them
+(:func:`driftpp.core.validate_chunk`). Floats are written in shortest
+round-trip form, so a write then a read is exact.
 
 The generator draws two Gaussian clusters on opposite sides of a linear
 decision boundary and labels each point by the side of the boundary it falls
@@ -104,8 +106,12 @@ def read_text(path, error: type[DriftppError]) -> str:
 
 
 def read_chunk_csv(path) -> Chunk:
-    """Parse a chunk file in one ``np.loadtxt`` call. The chunk id is the
-    file's stem; a file with only its header is an empty chunk.
+    """Parse a chunk file as a stream, in one ``np.loadtxt`` call. The chunk
+    id is the file's stem; a file with only its header is an empty chunk.
+
+    The open file is read as it is parsed, so no copy of its text is held;
+    only a file that is refused is read again whole, to name its bad row or
+    its encoding error.
 
     Checks format only: raises RaggedRowError on inconsistent column counts,
     LabelError on a label outside {0, 1}, and ChunkFormatError on anything
@@ -115,23 +121,23 @@ def read_chunk_csv(path) -> Chunk:
     data.
     """
     path = Path(path)
-    text = read_text(path, ChunkFormatError)
-    fh = io.StringIO(text)
-    # the header goes through the csv module, so a quoted comma or newline
-    # in a column name counts as the row scan counts it
-    width = _read_header(csv.reader(fh), path)
     try:
-        with warnings.catch_warnings():
-            # a file with no data rows is an empty chunk
-            warnings.simplefilter("ignore", UserWarning)
-            table = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"', ndmin=2)
-    except ValueError as exc:
-        raise _bad_row(text, path, str(exc)) from None
+        with path.open(encoding="utf-8-sig", newline="") as fh:
+            # the header goes through the csv module, so a quoted comma or
+            # newline in a column name counts as the row scan counts it
+            width = _read_header(csv.reader(fh), path)
+            with warnings.catch_warnings():
+                # a file with no data rows is an empty chunk
+                warnings.simplefilter("ignore", UserWarning)
+                table = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"', ndmin=2)
+    except (ValueError, ChunkFormatError) as exc:
+        # a UnicodeDecodeError is a ValueError; the whole-file read names it
+        raise _bad_row(path, str(exc)) from None
     if not len(table):
         table = np.empty((0, width))
     labels = table[:, -1]
     if table.shape[1] != width or not ((labels == 0.0) | (labels == 1.0)).all():
-        raise _bad_row(text, path, f"its rows are not {width} columns ending in a 0 or 1 label")
+        raise _bad_row(path, f"its rows are not {width} columns ending in a 0 or 1 label")
     return Chunk(path.stem, table[:, :-1], labels)
 
 
@@ -156,11 +162,13 @@ def _number(cell: str) -> float:
     return float(cell)
 
 
-def _bad_row(text: str, path: Path, reason: str) -> DriftppError:
-    """The error naming the first malformed row of a file that ``np.loadtxt``
-    refused (rows count from the header's 1, blank rows too), or, with no such
-    row, a ChunkFormatError naming the file and giving ``reason``."""
-    reader = csv.reader(io.StringIO(text))
+def _bad_row(path: Path, reason: str) -> DriftppError:
+    """The error naming the first malformed row of a refused file (rows
+    count from the header's 1, blank rows too), or, with no such row, a
+    ChunkFormatError naming the file and giving ``reason``. Reads the file
+    whole, so a file that is not UTF-8 text, or has no header, raises that
+    error first, whatever the stream met first."""
+    reader = csv.reader(io.StringIO(read_text(path, ChunkFormatError)))
     width = _read_header(reader, path)
     for row_no, row in enumerate(reader, start=2):
         if not row:

@@ -26,8 +26,10 @@ from .errors import DimensionError, EmptyTrainingSet
 
 __all__ = ["KnnConfig", "KnnModel", "knn_fit", "knn_predict_batch"]
 
-# cap on scratch memory per block of query rows, in float64 cells
-_BLOCK_CELLS = 2_000_000
+# cap on scratch memory per block of query rows, in float64 cells: a scan's
+# differences take all of it, the matrix-product distances a d-th, and those
+# distances are the largest transient of a run, so the cap sets its peak RSS
+_BLOCK_CELLS = 1_000_000
 # query rows x stored points below which a block takes the exact scan: its
 # measured crossover with the certified path lay at 200-800 (d 2-20, k 1-3)
 _SCAN_CELLS = 400

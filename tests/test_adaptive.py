@@ -6,13 +6,14 @@ import pytest
 from driftpp.adaptive import (
     ChunkReport,
     RunConfig,
+    UnreadChunk,
     drift_alarm,
     pretrain,
     process_chunk,
     reduce_chunk,
     run_experiment,
 )
-from driftpp.core import Chunk, PredictionRecord
+from driftpp.core import Chunk, PredictionRecord, standardize_chunk
 from driftpp.data import StreamSpec, generate_stream
 from driftpp.errors import (
     DegenerateData,
@@ -22,6 +23,7 @@ from driftpp.errors import (
     RoundFailed,
 )
 from driftpp.learnpp import LearnPPConfig, LearnPPModel
+from driftpp.pca import pca_fit, pca_transform
 
 
 def cluster_chunk(chunk_id, n, seed, d=4, gap=6.0, flip=False):
@@ -84,6 +86,28 @@ class TestReduceChunk:
         chunk = Chunk("x", np.full(shape, value), np.arange(shape[0]) % 2)
         with pytest.raises(DegenerateData, match="no variance"):
             reduce_chunk(chunk, 10)
+
+    def test_components_within_rounding_of_zero_become_zero_columns(self, rng):
+        # rank-3 rows in 8 dimensions reduced to 6 components: the last three
+        # are rounding noise, and come out as exact zeros, not unit variance
+        rows = rng.normal(size=(200, 3)) @ rng.normal(size=(3, 8))
+        chunk = Chunk("x", rows, rng.integers(0, 2, 200))
+        assert pca_fit(chunk, 6).explained_variance_ratio[3:6].max() < 1e-15
+        reduced = reduce_chunk(chunk, 6).features
+        np.testing.assert_allclose(reduced[:, :3].std(axis=0), 1.0)
+        assert (reduced[:, 3:] == 0.0).all()
+
+    @pytest.mark.parametrize("smallest", [1.0, 1e-5], ids=["even", "small-but-real"])
+    def test_full_rank_chunk_comes_out_bit_for_bit(self, rng, smallest):
+        # a sixth component of small real variance (a ratio near 1e-11, far
+        # above rounding) is kept and scaled like any other
+        rows = rng.normal(size=(300, 8)) * np.repeat([1.0, smallest], [5, 3])
+        chunk = Chunk("x", rows, rng.integers(0, 2, 300))
+        assert pca_fit(chunk, 6).explained_variance_ratio[5] > 1e-12
+        want = standardize_chunk(pca_transform(pca_fit(chunk, 6), chunk, 6))
+        got = reduce_chunk(chunk, 6)
+        assert got.features.tobytes() == want.features.tobytes()
+        np.testing.assert_allclose(got.features.std(axis=0), 1.0)
 
 
 class TestDriftAlarm:
@@ -347,10 +371,14 @@ class TestChunkFailurePolicy:
             return Chunk("bad", np.full_like(rows, 0.1), labels)  # rounding defeats PCA's check
         if kind == "constant_at_width":
             return Chunk("bad", np.ones((len(rows), 3)), labels)  # pc_count wide: PCA is skipped
+        if kind == "unread":
+            return UnreadChunk("bad", "file not found: bad.csv")  # its source could not be read
         rows[7, 1] = np.nan
         return Chunk("bad", rows, labels)
 
-    @pytest.mark.parametrize("kind", ["short", "constant", "constant_fraction", "constant_at_width", "nan"])
+    @pytest.mark.parametrize(
+        "kind", ["short", "constant", "constant_fraction", "constant_at_width", "nan", "unread"]
+    )
     def test_bad_chunk_reports_error_and_run_continues(self, kind):
         config = small_config(pc_count=3)
         initial = cluster_chunk("chunk_000", 200, seed=50)

@@ -6,6 +6,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 from typing import get_args, get_type_hints
@@ -368,17 +369,65 @@ class TestRun:
         assert (reports[2].error is not None) == (kind != "single_class")
         assert all(r.error in caplog.text for r in reports if r.error)
 
-    def test_missing_chunk_file_named(self, tmp_path, capsys):
-        stream = generate_stationary(tmp_path)
-        cfg = write_config(
-            tmp_path / "broken.cfg",
-            initial_chunk=f"{stream.name}/chunk_000.csv",
-            chunks=f"{stream.name}/romulus.csv",
-            pc_count=2,
-        )
-        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
-        assert f"error: file not found: {stream / 'romulus.csv'}" in capsys.readouterr().err
-        assert not (tmp_path / "o").exists()
+    @pytest.mark.parametrize("case", ["missing", "not_utf8", "headerless", "ragged", "bad_cell"])
+    def test_refused_adaptive_file_reports_error_and_run_goes_on(self, tmp_path, caplog, case):
+        # a chunk file refused mid-run gets an error report with its reason
+        # logged; the model is left untouched, so every other record is the
+        # one a run without that file writes
+        stream = generate_stationary(tmp_path, n_chunks=5)
+        cfg = run_config_for(tmp_path, stream)
+        without = tmp_path / "without"
+        shutil.copytree(stream, without)
+        (without / "chunk_002.csv").unlink()
+        chunk = stream / "chunk_002.csv"
+        text = chunk.read_text()
+        if case == "missing":
+            chunk.unlink()
+            reason = f"file not found: {chunk}"
+        elif case == "not_utf8":
+            chunk.write_bytes(chunk.read_bytes() + b"\xff,1\n")
+            reason = f"{chunk}: not UTF-8"
+        elif case == "headerless":
+            chunk.write_text(text.split("\n", 1)[1])
+            reason = f"{chunk}: row 1: expected a header"
+        elif case == "ragged":
+            chunk.write_text(text + "1.0,0\n")
+            reason = f"{chunk}: row 122 has 2 columns, expected 5"
+        else:
+            lines = text.split("\n")
+            lines[2] = "huh" + lines[2][lines[2].index(","):]
+            chunk.write_text("\n".join(lines))
+            reason = f"{chunk}: row 3, column 0: cannot parse 'huh' as a number"
+        out, out_without = tmp_path / "results", tmp_path / "results_without"
+        status = main(["run", "--config", str(cfg), "--out", str(out)])
+        assert f"chunk chunk_002 cannot be read: {reason}" in caplog.text
+
+        cfg_without = run_config_for(tmp_path, without, name="without.cfg")
+        assert main(["run", "--config", str(cfg_without), "--out", str(out_without)]) == status == 0
+        assert (out / "records.jsonl").read_bytes() == (out_without / "records.jsonl").read_bytes()
+        rows = (out / "reports.csv").read_text().splitlines()
+        assert rows.pop(3) == "chunk_002,0.0,nan,0.0,0,0,0.0,false"
+        assert rows == (out_without / "reports.csv").read_text().splitlines()
+
+    def test_each_adaptive_file_is_read_after_the_chunk_before_is_written(self, tmp_path, monkeypatch):
+        # a run holds one chunk at a time: file i + 1 is opened only once
+        # chunk i's records are in records.jsonl; chunks smaller than a
+        # write buffer show that each chunk's lines are flushed
+        stream = generate_stationary(tmp_path, n_chunks=5, chunk_size=40)
+        out = tmp_path / "results"
+        records = out / "records.jsonl"
+        read, opened = cli.read_chunk_csv, []
+
+        def spy(path):
+            lines = records.read_text().splitlines() if records.exists() else []
+            opened.append((Path(path).stem, Counter(json.loads(line)["chunk_id"] for line in lines)))
+            return read(path)
+
+        monkeypatch.setattr(cli, "read_chunk_csv", spy)
+        assert main(["run", "--config", str(run_config_for(tmp_path, stream)), "--out", str(out)]) == 0
+        assert opened == [
+            (f"chunk_{i:03d}", Counter({f"chunk_{j:03d}": 40 for j in range(i)})) for i in range(5)
+        ]
 
     def test_missing_initial_named(self, tmp_path, capsys):
         cfg = write_config(
@@ -494,6 +543,36 @@ class TestReport:
         assert default_table.splitlines()[2].split()[-1] == "false"
         assert tight_table.splitlines()[2].split()[-1] == "true"
 
+    def test_memory_stays_flat_in_the_number_of_chunks(self, tmp_path, capsys):
+        # each chunk is reported when its lines end and only its records are
+        # held, so thirty more chunks cost less than one chunk's lines; the
+        # tracemalloc peak is deterministic where RSS is not
+        def records_file(n_chunks):
+            path = tmp_path / f"records_{n_chunks}.jsonl"
+            with path.open("w", encoding="utf-8") as fh:
+                for c in range(n_chunks):
+                    fh.writelines(
+                        json.dumps({"chunk_id": f"chunk_{c:03d}", "index": i, "truth": i % 2,
+                                    "predicted": (i // 3) % 2, "score": (i % 7) / 7}) + "\n"
+                        for i in range(300)
+                    )
+            return path
+
+        def peak(path):
+            tracemalloc.start()
+            try:
+                assert main(["report", str(path)]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        short, long = records_file(10), records_file(40)
+        assert main(["report", str(short)]) == 0  # imports and caches
+        one_chunk = short.stat().st_size / 10
+        assert peak(long) - peak(short) < one_chunk
+        # each table is a header and a row per chunk
+        assert len(capsys.readouterr().out.splitlines()) == 11 + 41 + 11
+
     @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
     def test_closed_stdout_exits_quietly(self, tmp_path, unbuffered):
         # `driftpp report records.jsonl | head` with a reader that is gone
@@ -578,14 +657,17 @@ class TestInputErrors:
             )
             return ["run", "--config", str(cfg)] + out, "chunk_000"
         cfg = run_config_for(tmp_path, stream)
-        if case == "chunk_not_utf8":
-            chunk = stream / "chunk_002.csv"
-            chunk.write_bytes(chunk.read_bytes() + b"\xff,1\n")
-            return ["run", "--config", str(cfg)] + out, f"{chunk}: not UTF-8"
-        if case == "headerless_chunk":
-            chunk = stream / "chunk_002.csv"
-            chunk.write_text(chunk.read_text().split("\n", 1)[1])
-            return ["run", "--config", str(cfg)] + out, f"{chunk}: row 1: expected a header"
+        # a refused initial chunk file ends the run before any output
+        initial = stream / "chunk_000.csv"
+        if case == "initial_not_utf8":
+            initial.write_bytes(initial.read_bytes() + b"\xff,1\n")
+            return ["run", "--config", str(cfg)] + out, f"{initial}: not UTF-8"
+        if case == "initial_headerless":
+            initial.write_text(initial.read_text().split("\n", 1)[1])
+            return ["run", "--config", str(cfg)] + out, f"{initial}: row 1: expected a header"
+        if case == "initial_ragged":
+            initial.write_text(initial.read_text() + "1.0,0\n")
+            return ["run", "--config", str(cfg)] + out, f"{initial}: row 122 has 2 columns, expected 5"
         # the output directory's path is taken by a file
         (tmp_path / "out").write_text("a file\n")
         return ["run", "--config", str(cfg)] + out, str(tmp_path / "out")
@@ -595,8 +677,8 @@ class TestInputErrors:
         [
             "pc_count", "n_chunks", "knn_k", "error_threshold", "drift_f1_drop", "drift_f1_drop_nan",
             "record_chunk_id", "record_index", "repeated_chunk", "record_score", "config_not_utf8",
-            "records_not_utf8", "chunk_not_utf8", "out_is_a_file", "headerless_chunk", "records_resumed",
-            "records_index", "generate_seed", "run_seed",
+            "records_not_utf8", "initial_not_utf8", "out_is_a_file", "initial_headerless", "initial_ragged",
+            "records_resumed", "records_index", "generate_seed", "run_seed",
         ],
     )
     def test_exits_one_with_error_line(self, case, tmp_path, capsys):

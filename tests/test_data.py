@@ -1,6 +1,7 @@
 import csv
 import io
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -123,8 +124,8 @@ class TestReadChunkCsv:
 
     @pytest.mark.parametrize("rows_before", [0, 2000])
     def test_bytes_that_are_not_utf8_name_the_file(self, tmp_path, rows_before):
-        # the file is decoded whole before either parser sees it, so a bad
-        # byte in the header and one thousands of rows in fail alike
+        # a bad byte in the header and one thousands of rows in, which the
+        # stream meets mid-parse, fail alike
         path = tmp_path / "x.csv"
         path.write_bytes(b"f0,label\n" + b"1.0,0\n" * rows_before + b"\xff,1\n")
         with pytest.raises(ChunkFormatError, match=f"{path}: not UTF-8 text"):
@@ -143,8 +144,11 @@ class TestReadPathParity:
             ("f0,label\n1.0,0\n\n\n2.0,1\n\n", [[1.0], [2.0]], [0, 1]),
             ("f0,label\r\n1.5,0\r\n-0.25,1\r\n", [[1.5], [-0.25]], [0, 1]),
             ("f0,f1,label\n", np.zeros((0, 2)), []),
+            ("f0,label\r1.5,0\r\r-0.25,1", [[1.5], [-0.25]], [0, 1]),
+            ('"f\r\n0","f\n1",label\r\n1,2,0\r\n"3\r\n",4,1\r\n', [[1.0, 2.0], [3.0, 4.0]], [0, 1]),
+            ("\ufefff0,label\r\n1.5,1\r\n", [[1.5]], [1]),
         ],
-        ids=["quoted", "blank-lines", "crlf", "header-only"],
+        ids=["quoted", "blank-lines", "crlf", "header-only", "cr-only", "quoted-newlines", "bom-crlf"],
     )
     def test_reads_the_arrays_the_file_spells(self, tmp_path, text, features, labels):
         path = tmp_path / "x.csv"
@@ -183,6 +187,33 @@ class TestReadPathParity:
         path.write_text("f0,f1,label\n1.0,0\n2.0,1\n")
         with pytest.raises(RaggedRowError, match="row 2 has 2 columns, expected 3"):
             read_chunk_csv(path)
+
+
+    @pytest.mark.parametrize(
+        "head", ["1.0,2.0,1\n", "f0,label\n1.0,2.0,1\n", "f0,label\nhuh,1\n"],
+        ids=["headerless", "ragged", "bad-cell"],
+    )
+    def test_bytes_that_are_not_utf8_are_named_before_a_bad_row(self, tmp_path, head):
+        # the stream meets the bad row first; the file is refused as not
+        # UTF-8 text all the same, as a whole-file decode refuses it
+        path = tmp_path / "x.csv"
+        path.write_bytes(head.encode("utf-8") + b"1.0,0\n" * 2000 + b"\xff,1\n")
+        with pytest.raises(ChunkFormatError, match=f"^{re.escape(str(path))}: not UTF-8 text"):
+            read_chunk_csv(path)
+
+    def test_read_holds_no_copy_of_the_text(self, tmp_path, rng):
+        # the open file is parsed as it is read: the peak is the parsed table
+        # and the chunk's copy of it, below the size of the file's text
+        path = tmp_path / "big.csv"
+        write_chunk_csv(Chunk("big", rng.standard_normal((5000, 20)), rng.integers(0, 2, 5000)), path)
+        read_chunk_csv(path)  # imports and caches
+        tracemalloc.start()
+        try:
+            read_chunk_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size
 
 
 class TestWriteChunkCsv:

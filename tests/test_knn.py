@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -117,6 +119,24 @@ class TestPredict:
             labels, scores = knn_predict_batch(model, q[None])
             assert int(labels[0]) == batch_labels[i]
             assert scores[0] == batch_scores[i]
+
+    def test_scratch_stays_under_the_block_cap(self):
+        # a block's matrix-product distances are the largest transient of a
+        # run: 700 queries against 300 points in 10 dimensions go in blocks
+        # of 0.8 MB, not one of 1.7 MB, and answer as 50-row slices do
+        rng = np.random.default_rng(4)
+        model = knn_fit(KnnConfig(k=3), rng.normal(size=(300, 10)), rng.integers(0, 2, 300))
+        queries = rng.normal(size=(700, 10))
+        sliced = [knn_predict_batch(model, queries[i : i + 50]) for i in range(0, 700, 50)]
+        tracemalloc.start()
+        try:
+            labels, scores = knn_predict_batch(model, queries)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        np.testing.assert_array_equal(labels, np.concatenate([part[0] for part in sliced]))
+        np.testing.assert_array_equal(scores, np.concatenate([part[1] for part in sliced]))
 
     def test_permutation_invariant_without_ties(self):
         rng = np.random.default_rng(21)
