@@ -329,4 +329,6 @@ def run_experiment(
         if record_sink is not None:
             record_sink(records)
         reports.append(report)
+        # let go of the chunk before the next pull, so one chunk is alive
+        del chunk, records
     return reports

@@ -39,7 +39,7 @@ from pathlib import Path
 from typing import get_args, get_type_hints
 
 from .adaptive import ChunkReport, RunConfig, UnreadChunk, chunk_report, run_experiment
-from .core import PredictionRecord, Records
+from .core import Chunk, PredictionRecord, Records
 from .data import StreamSpec, generate_stream, read_chunk_csv, read_text, write_chunk_csv
 from .errors import ConfigError, DriftppError
 
@@ -148,10 +148,11 @@ def _resolve_chunk_paths(raw: str, base: Path) -> list[Path]:
             continue
         candidate = base / part
         if any(ch in part for ch in "*?["):
-            matches = sorted(globlib.glob(str(candidate)))
+            # only the part is a pattern; `base` may hold `[` or `*` itself
+            matches = sorted(globlib.glob(part, root_dir=base))
             if not matches:
                 raise ConfigError(f"chunk pattern matched nothing: {candidate}")
-            paths.extend(Path(m) for m in matches)
+            paths.extend(base / m for m in matches)
         else:
             paths.append(candidate)
     if not paths:
@@ -200,6 +201,15 @@ def _reason(exc: Exception) -> str:
     return f"file not found: {exc.filename}" if isinstance(exc, FileNotFoundError) else str(exc)
 
 
+def _read_adaptive(path: Path) -> Chunk | UnreadChunk:
+    """The chunk of an adaptive chunk file, or an UnreadChunk that says why
+    the file is refused."""
+    try:
+        return read_chunk_csv(path)
+    except (DriftppError, OSError) as exc:
+        return UnreadChunk(path.stem, _reason(exc))
+
+
 def cmd_generate(args: argparse.Namespace) -> int:
     config_path = Path(args.config)
     values = _load_config(config_path, _GENERATE_KEYS, _GENERATE_REQUIRED)
@@ -236,16 +246,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         raise ConfigError(f"{config_path}: chunk file names repeat: {repeated}")
 
     initial = read_chunk_csv(initial_path)
-
-    def arriving():
-        # each file is read when run_experiment pulls its chunk
-        for path in chunk_paths:
-            try:
-                chunk = read_chunk_csv(path)
-            except (DriftppError, OSError) as exc:
-                chunk = UnreadChunk(path.stem, _reason(exc))
-            yield chunk
-
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     records_path = out_dir / "records.jsonl"
@@ -264,7 +264,9 @@ def cmd_run(args: argparse.Namespace) -> int:
             ))
             records_file.flush()
 
-        reports = run_experiment(initial, arriving(), config, record_sink=sink)
+        # each file is read when run_experiment pulls its chunk; map keeps
+        # no chunk it has handed on
+        reports = run_experiment(initial, map(_read_adaptive, chunk_paths), config, record_sink=sink)
 
     _write_reports_csv(reports, out_dir / "reports.csv")
     for report in reports:

@@ -15,6 +15,10 @@ which concentrates the next subset on the instances the ensemble still gets
 wrong. A composite that classifies the whole window correctly ends the
 round early.
 
+Each equation has one function, which training calls and the tests check:
+:func:`weighted_error`, :func:`normalize_error` (beta) and
+:func:`update_weights`; one committee vote serves prediction and rounds.
+
 Windows are (features, labels) array pairs. The model itself learns
 online: copies of blocks of rows, their labels and their outcomes at
 arrival are appended to a buffer, and a full buffer is joined column by
@@ -52,9 +56,8 @@ __all__ = [
     "LearnPPModel",
     "init_weights",
     "sample_training_subset",
-    "hypothesis_error",
+    "weighted_error",
     "normalize_error",
-    "composite_error",
     "update_weights",
     "run_round",
 ]
@@ -177,31 +180,23 @@ def sample_training_subset(dist: WeightDistribution, rng: np.random.Generator) -
     return rng.choice(n, size=size, replace=True, p=dist.weights)
 
 
-def _window_size(features, labels, dist: WeightDistribution) -> int:
-    """Instance count of a (features, labels) window weighted by ``dist``."""
-    if not len(features) == len(labels) == len(dist):
+def weighted_error(dist: WeightDistribution, predicted, labels) -> float:
+    """Total weight of the instances whose prediction misses the label: the
+    weighted error of a hypothesis, or of the composite, from its predicted
+    labels on the window that ``dist`` weighs."""
+    predicted, labels = np.asarray(predicted), np.asarray(labels)
+    if not len(predicted) == len(labels) == len(dist):
         raise DimensionError(
-            f"window has {len(features)} rows and {len(labels)} labels "
+            f"{len(predicted)} predictions and {len(labels)} labels "
             f"but distribution has {len(dist)} weights"
         )
-    return len(labels)
-
-
-def _weighted_error(dist: WeightDistribution, predicted: np.ndarray, labels) -> float:
-    """Total weight of the instances whose prediction misses the label."""
     return float(dist.weights[predicted != labels].sum())
 
 
-def hypothesis_error(model: KnnModel, features, labels, dist: WeightDistribution) -> float:
-    """Total weight of the window instances the model misclassifies."""
-    _window_size(features, labels, dist)
-    predicted, _ = knn_predict_batch(model, features)
-    return _weighted_error(dist, predicted, labels)
-
-
 def normalize_error(e: float) -> float:
-    """Map a weighted error e in (0, 0.5) to e/(1-e) in (0, 1)."""
-    return e / (1.0 - e)
+    """Map a weighted error e in [0, 0.5) to e/(1-e) in (0, 1). An error of
+    0 maps to BETA_FLOOR, so a perfect hypothesis votes large but finite."""
+    return BETA_FLOOR if e == 0.0 else e / (1.0 - e)
 
 
 def _weighted_vote(
@@ -229,21 +224,16 @@ def _weighted_vote(
     return (mass1 > mass0).astype(np.int64), scores
 
 
-def _composite(hypotheses: Sequence[WeakHypothesis], features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Composite labels and scores of an (n, d) feature block."""
-    if not hypotheses:
-        raise EmptyEnsemble("no hypotheses to vote with")
+def _composite(
+    hypotheses: Sequence[WeakHypothesis],
+    features: np.ndarray,
+    masses: tuple[np.ndarray, np.ndarray] | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Composite labels and scores of an (n, d) feature block: every
+    hypothesis predicts the block and votes. ``masses`` are added to in
+    place, as in :func:`_weighted_vote`."""
     rows = [knn_predict_batch(hyp.model, features)[0] for hyp in hypotheses]
-    return _weighted_vote(rows, [hyp.vote_weight for hyp in hypotheses], len(features))
-
-
-def composite_error(
-    hypotheses: Sequence[WeakHypothesis], features, labels, dist: WeightDistribution
-) -> float:
-    """Total weight of the window instances the composite vote misclassifies."""
-    _window_size(features, labels, dist)
-    composite, _ = _composite(hypotheses, features)
-    return _weighted_error(dist, composite, labels)
+    return _weighted_vote(rows, [hyp.vote_weight for hyp in hypotheses], len(features), masses)
 
 
 def update_weights(dist: WeightDistribution, correct_mask, decay: float) -> WeightDistribution:
@@ -271,30 +261,36 @@ def run_round(
     labels and return the accepted hypotheses plus the final weight
     distribution.
 
-    The caller should hand in a window containing both classes; prior
-    retained hypotheses participate in every composite evaluation: their
-    vote masses are summed once, and each acceptance adds its own. Each
-    candidate is fit on the distinct instances of a weight-proportional draw
-    (duplicates dropped, so no instance counts twice among its neighbors) and
-    judged on the whole window. A perfect candidate gets the floor normalized
-    error instead of zero. After each acceptance, the composite error E of
-    all hypotheses (prior and new) drives the weight update; E of zero stops
-    the round, and E at or above one half leaves the weights untouched for
-    that step.
+    The caller should hand in a window containing both classes; features,
+    labels and ``d0`` of another length raise DimensionError before anything
+    is drawn. Prior retained hypotheses participate in every composite
+    evaluation: they vote once, through the committee vote that prediction
+    uses, and each acceptance adds its own vote mass. Each candidate is fit
+    on the distinct instances of a weight-proportional draw (duplicates
+    dropped, so no instance counts twice among its neighbors) and judged on
+    the whole window by :func:`weighted_error`; its beta is
+    :func:`normalize_error`, the floor for a perfect candidate. After each
+    acceptance, the composite error E of all hypotheses (prior and new)
+    drives the weight update; E of zero stops the round, and E at or above
+    one half leaves the weights untouched for that step.
 
     ``max_retries`` consecutive rejected candidates end the round with the
     hypotheses it accepted, or raise RoundFailed when it accepted none.
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
-    if len(labels) == 0:
+    n = len(labels)
+    if n == 0:
         raise EmptyWindow("cannot run a training round on an empty window")
-    n = _window_size(features, labels, d0)
+    if not len(features) == n == len(d0):
+        raise DimensionError(
+            f"window has {len(features)} rows and {n} labels "
+            f"but distribution has {len(d0)} weights"
+        )
     dist = d0
 
-    prior_rows = [knn_predict_batch(hyp.model, features)[0] for hyp in prior]
     masses = np.zeros(n), np.zeros(n)
-    _weighted_vote(prior_rows, [hyp.vote_weight for hyp in prior], n, masses)
+    _composite(prior, features, masses)
     accepted: list[WeakHypothesis] = []
     consecutive_failures = 0
 
@@ -304,7 +300,7 @@ def run_round(
         subset_idx = np.flatnonzero(np.bincount(sample_training_subset(dist, rng), minlength=n))
         candidate = knn_fit(config.knn, features[subset_idx], labels[subset_idx])
         predictions, _ = knn_predict_batch(candidate, features)
-        error = _weighted_error(dist, predictions, labels)
+        error = weighted_error(dist, predictions, labels)
 
         if error >= config.error_threshold:
             consecutive_failures += 1
@@ -322,12 +318,11 @@ def run_round(
             continue
         consecutive_failures = 0
 
-        norm_err = BETA_FLOOR if error == 0.0 else normalize_error(error)
-        hypothesis = WeakHypothesis(candidate, norm_err, window_ordinal)
+        hypothesis = WeakHypothesis(candidate, normalize_error(error), window_ordinal)
         accepted.append(hypothesis)
 
         composite, _ = _weighted_vote([predictions], [hypothesis.vote_weight], n, masses)
-        comp_error = _weighted_error(dist, composite, labels)
+        comp_error = weighted_error(dist, composite, labels)
         if comp_error == 0.0:
             # the ensemble already masters this window; keep weights as-is
             break
@@ -374,6 +369,8 @@ class LearnPPModel:
         larger mass wins, a tie resolves to 0, and the score is the class-1
         share of the mass. A row's output does not depend on the other rows.
         """
+        if not self.hypotheses:
+            raise EmptyEnsemble("no hypotheses to vote with")
         return _composite(self.hypotheses, features)
 
     def fit_initial(self, features, labels) -> None:

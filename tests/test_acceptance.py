@@ -21,12 +21,11 @@ from driftpp.learnpp import (
     LearnPPModel,
     WeakHypothesis,
     WeightDistribution,
-    composite_error,
-    hypothesis_error,
     init_weights,
     normalize_error,
     run_round,
     update_weights,
+    weighted_error,
 )
 from driftpp.metrics import auc
 from driftpp.pca import pca_fit, tevr
@@ -54,9 +53,9 @@ def fit_on_subset(gen, window, k):
 
 
 def test_equation_conformance(capsys):
-    """hypothesis_error, normalize_error (of weak-learner and composite
-    errors), composite_error, and update_weights against loop-and-sum oracles
-    over 1,000 randomized cases."""
+    """weighted_error (of a weak learner's and of the composite's
+    predictions), normalize_error (of both errors) and update_weights
+    against loop-and-sum oracles over 1,000 randomized cases."""
     gen = np.random.default_rng(101)
     started = time.perf_counter()
     worst = 0.0
@@ -67,7 +66,7 @@ def test_equation_conformance(capsys):
         dist = WeightDistribution.normalized(gen.uniform(0.05, 1.0, n))
         model = fit_on_subset(gen, window, k=int(gen.choice([1, 3])))
 
-        got = hypothesis_error(model, *window, dist)
+        got = weighted_error(dist, knn_predict_batch(model, window[0])[0], window[1])
         want = 0.0
         for i, (x, y) in enumerate(zip(*window)):
             label = knn_predict_batch(model, x[None])[0][0]
@@ -82,7 +81,7 @@ def test_equation_conformance(capsys):
             WeakHypothesis(fit_on_subset(gen, window, 1), float(gen.uniform(0.05, 0.95)), 0)
             for _ in range(int(gen.integers(1, 3)))
         ]
-        got_comp = composite_error(ensemble, *window, dist)
+        got_comp = weighted_error(dist, ensemble_model(ensemble).predict(window[0])[0], window[1])
         want_comp = 0.0
         for i, (x, y) in enumerate(zip(*window)):
             label = ensemble_model(ensemble).predict(x[None])[0][0]

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -449,6 +450,31 @@ class TestRunExperiment:
         assert from_generator == from_list
         # each chunk is pulled only after the one before it reached the sink
         assert sunk_at_pull == [150, 300, 450]
+
+    def test_each_chunk_and_its_records_are_freed_before_the_next_pull(self):
+        # one chunk alive at a time: when chunk i + 1 is pulled, nothing
+        # holds chunk i, its arrays or its records block
+        refs, alive = [], []
+
+        def tracked(chunk):
+            refs.extend(
+                (f"{chunk.id} {name}", weakref.ref(obj))
+                for name, obj in [("chunk", chunk), ("features", chunk.features), ("labels", chunk.labels)]
+            )
+            return chunk
+
+        def arriving():
+            for i in range(1, 5):
+                alive.append([name for name, ref in refs if ref() is not None])
+                yield tracked(cluster_chunk(f"chunk_{i:03d}", 150, seed=90 + i))
+
+        def sink(records):
+            if records.chunk_id != "chunk_000":
+                refs.append((f"{records.chunk_id} records", weakref.ref(records)))
+
+        initial = cluster_chunk("chunk_000", 150, seed=90)
+        run_experiment(initial, arriving(), small_config(), record_sink=sink)
+        assert alive == [[]] * 4
 
     def test_duplicate_id_in_a_generator_raises_when_it_arrives(self):
         initial = cluster_chunk("chunk_000", 150, seed=80)

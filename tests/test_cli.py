@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from collections import Counter
 from pathlib import Path
 from typing import get_args, get_type_hints
@@ -256,6 +257,25 @@ class TestRun:
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
         assert len((out / "reports.csv").read_text().splitlines()) == 5
 
+    @pytest.mark.parametrize("absolute", [False, True], ids=["relative", "absolute"])
+    def test_glob_chunk_pattern_under_a_directory_named_like_a_pattern(self, tmp_path, absolute):
+        # only the config's value is a pattern, not the config's directory,
+        # which an absolute pattern ignores
+        base = tmp_path / "run[1]"
+        base.mkdir()
+        stream = generate_stationary(tmp_path if absolute else base)
+        prefix = stream if absolute else stream.name
+        cfg = write_config(
+            base / "glob_run.cfg",
+            initial_chunk=f"{prefix}/chunk_000.csv",
+            chunks=f"{prefix}/chunk_00[1-9].csv",
+            pc_count=2,
+        )
+        out = tmp_path / "globbed"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        ids = [line.split(",")[0] for line in (out / "reports.csv").read_text().splitlines()[1:]]
+        assert ids == [f"chunk_{i:03d}" for i in range(4)]
+
     def test_record_lines_are_json_dumps(self, tmp_path, monkeypatch):
         ids = ['caf\u00e9 "\u0394" \\ chunk', "chunk_001"]
         blocks = [
@@ -429,6 +449,26 @@ class TestRun:
             (f"chunk_{i:03d}", Counter({f"chunk_{j:03d}": 40 for j in range(i)})) for i in range(5)
         ]
 
+    def test_each_adaptive_chunk_is_freed_before_the_next_is_read(self, tmp_path, monkeypatch):
+        # when adaptive file i + 1 is read, nothing holds chunk i or its
+        # arrays; the initial chunk is the caller's and is not tracked
+        stream = generate_stationary(tmp_path, n_chunks=5)
+        read, refs, alive = cli.read_chunk_csv, [], []
+
+        def spy(path):
+            alive.append([name for name, ref in refs if ref() is not None])
+            chunk = read(path)
+            if chunk.id != "chunk_000":
+                refs.extend(
+                    (f"{chunk.id} {name}", weakref.ref(obj))
+                    for name, obj in [("chunk", chunk), ("features", chunk.features), ("labels", chunk.labels)]
+                )
+            return chunk
+
+        monkeypatch.setattr(cli, "read_chunk_csv", spy)
+        assert main(["run", "--config", str(run_config_for(tmp_path, stream)), "--out", str(tmp_path / "out")]) == 0
+        assert alive == [[]] * 5
+
     def test_missing_initial_named(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path / "broken.cfg",
@@ -589,6 +629,40 @@ class TestReport:
         finally:
             os.close(write_end)
         assert (result.returncode, result.stderr) == (0, b"")
+
+
+class TestGoldenOutputs:
+    # sha256 of records.jsonl and reports.csv; a change that moves them on
+    # purpose updates these and says so in CHANGES.md
+    GOLDEN = {
+        "chunk": (
+            "62c735c5ec1a2bad22340b69f0662e82b951f3f7175f585829a5efa77a9be4a6",
+            "fb418c2ff47492bfc15a525f1d567ac642724f1541aac9f736c17eb6f6079bc0",
+        ),
+        "window_cap": (
+            "6e61b6cb0c20af8f8adeec735616a7c40e2cc477fc0e4c92c1f2c72f61535bc1",
+            "bd521858c973272efdc69cacab79bec3f9bd9c5d747714d2842198641eb63e94",
+        ),
+    }
+
+    @pytest.mark.parametrize("mode, windows", [
+        ("chunk", {}),
+        ("window_cap", {"window_size": 50, "max_window_ensembles": 2}),
+    ])
+    def test_outputs_keep_their_sha256(self, tmp_path, mode, windows):
+        # a sudden drift at chunk 4 makes mixed votes, so a change to any
+        # error, beta, vote or weight update moves the bytes
+        stream = generate_stationary(
+            tmp_path, n_chunks=6, chunk_size=150, dimensionality=6,
+            drift_kind="sudden", drift_at_chunk=4, drift_magnitude=1.0,
+        )
+        cfg = run_config_for(tmp_path, stream, pc_count=3, seed=1, **windows)
+        out = tmp_path / "results"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        digests = tuple(
+            hashlib.sha256((out / name).read_bytes()).hexdigest() for name in ("records.jsonl", "reports.csv")
+        )
+        assert digests == self.GOLDEN[mode]
 
 
 class TestInputErrors:

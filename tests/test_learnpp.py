@@ -18,13 +18,12 @@ from driftpp.learnpp import (
     LearnPPModel,
     WeakHypothesis,
     WeightDistribution,
-    composite_error,
-    hypothesis_error,
     init_weights,
     normalize_error,
     run_round,
     sample_training_subset,
     update_weights,
+    weighted_error,
 )
 
 from conftest import ensemble_model, two_cluster_window
@@ -128,13 +127,13 @@ class TestErrors:
     def test_perfect_hypothesis_error_is_zero(self, rng):
         window = two_cluster_window(20, 2, rng)
         model = knn_fit(KnnConfig(k=1), *window)
-        assert hypothesis_error(model, *window, init_weights(20)) == 0.0
+        assert weighted_error(init_weights(20), knn_predict_batch(model, window[0])[0], window[1]) == 0.0
 
     def test_uniform_weight_two_misses(self):
         # model trained on inverted labels for two of the four points
         rows = [[0.0], [1.0], [10.0], [11.0]]
         model = knn_fit(KnnConfig(k=1), rows, [1, 0, 0, 1])
-        error = hypothesis_error(model, rows, [0, 0, 1, 1], init_weights(4))
+        error = weighted_error(init_weights(4), knn_predict_batch(model, rows)[0], [0, 0, 1, 1])
         assert error == pytest.approx(0.5)
 
     def test_matches_loop_oracle(self, rng):
@@ -146,13 +145,17 @@ class TestErrors:
             label = knn_predict_batch(model, x[None])[0][0]
             if label != y:
                 want += dist.weights[i]
-        assert hypothesis_error(model, rows, labels, dist) == pytest.approx(want, abs=1e-12)
+        assert weighted_error(dist, knn_predict_batch(model, rows)[0], labels) == pytest.approx(want, abs=1e-12)
 
     def test_size_mismatch(self, rng):
         window = two_cluster_window(6, 2, rng)
         model = knn_fit(KnnConfig(), *window)
         with pytest.raises(DimensionError):
-            hypothesis_error(model, *window, init_weights(5))
+            weighted_error(init_weights(5), knn_predict_batch(model, window[0])[0], window[1])
+
+    def test_predictions_and_labels_must_match(self):
+        with pytest.raises(DimensionError):
+            weighted_error(init_weights(3), [0, 1, 1], [0, 1])
 
     @pytest.mark.parametrize(
         "error,expected",
@@ -163,6 +166,7 @@ class TestErrors:
             (0.2, 0.25),
             (1.0 / 3.0, 0.5),
             (0.01, 1.0 / 99.0),
+            (0.0, BETA_FLOOR),
         ],
     )
     def test_normalize_error_values(self, error, expected):
@@ -226,14 +230,14 @@ class TestCompositeError:
         window = two_cluster_window(12, 2, rng)
         model = knn_fit(KnnConfig(k=1), *window)
         ensemble = [WeakHypothesis(model, 0.1, 0)]
-        assert composite_error(ensemble, *window, init_weights(12)) == 0.0
+        assert weighted_error(init_weights(12), ensemble_model(ensemble).predict(window[0])[0], window[1]) == 0.0
 
     def test_uniform_three_wrong_of_ten(self):
         rows = [[float(i)] for i in range(10)]
         # single k=1 voter trained with the last three labels inverted
         model = knn_fit(KnnConfig(k=1), rows, [0] * 10)
         ensemble = [WeakHypothesis(model, 0.2, 0)]
-        got = composite_error(ensemble, rows, [0] * 7 + [1] * 3, init_weights(10))
+        got = weighted_error(init_weights(10), ensemble_model(ensemble).predict(rows)[0], [0] * 7 + [1] * 3)
         assert got == pytest.approx(0.3)
 
     def test_matches_loop_oracle(self, rng):
@@ -245,7 +249,7 @@ class TestCompositeError:
             label = ensemble_model(ensemble).predict(x[None])[0][0]
             if label != y:
                 want += dist.weights[i]
-        got = composite_error(ensemble, rows, labels, dist)
+        got = weighted_error(dist, ensemble_model(ensemble).predict(rows)[0], labels)
         assert got == pytest.approx(want, abs=1e-12)
 
 
@@ -297,7 +301,7 @@ class TestRunRound:
         for hyp in hyps:
             assert 0.0 < hyp.normalized_error < 1.0
             assert hyp.vote_weight > 0.0
-        assert composite_error(hyps, *window, init_weights(40)) == 0.0
+        assert weighted_error(init_weights(40), ensemble_model(hyps).predict(window[0])[0], window[1]) == 0.0
 
     def test_early_stop_keeps_round_short(self, rng):
         # k=1 masters a separable window immediately; one hypothesis suffices
@@ -324,7 +328,7 @@ class TestRunRound:
         hyps, final = run_round(rows, labels, init_weights(41), config, np.random.default_rng(0))
         assert len(hyps) == 1
         assert final.weights[-1] == pytest.approx(0.5)
-        assert composite_error(hyps, rows, labels, init_weights(41)) == pytest.approx(1 / 41)
+        assert weighted_error(init_weights(41), ensemble_model(hyps).predict(rows)[0], labels) == pytest.approx(1 / 41)
 
     def test_single_positive_point_never_silent_beta_overflow(self, rng):
         rows = np.vstack([rng.normal(0.0, 0.5, (9, 2)), [[6.0, 6.0]]])
@@ -350,6 +354,19 @@ class TestRunRound:
     def test_empty_window_raises(self):
         with pytest.raises(EmptyWindow):
             run_round([], [], init_weights(1), LearnPPConfig(), np.random.default_rng(0))
+
+    @pytest.mark.parametrize("short", ["features", "labels", "d0"])
+    def test_length_mismatch_raises_before_drawing(self, rng, short):
+        features, labels = two_cluster_window(8, 2, rng)
+        lengths = {"features": 8, "labels": 8, "d0": 8, short: 7}
+        gen = np.random.default_rng(0)
+        state = gen.bit_generator.state
+        with pytest.raises(DimensionError):
+            run_round(
+                features[:lengths["features"]], labels[:lengths["labels"]],
+                init_weights(lengths["d0"]), LearnPPConfig(), gen,
+            )
+        assert gen.bit_generator.state == state
 
     def test_candidates_fit_on_distinct_window_instances(self, rng):
         # nearly all mass on four instances: a with-replacement draw of 20
