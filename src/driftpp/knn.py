@@ -27,11 +27,14 @@ from .errors import DimensionError, EmptyTrainingSet
 __all__ = ["KnnConfig", "KnnModel", "knn_fit", "knn_predict_batch"]
 
 # cap on scratch memory per block of query rows, in float64 cells: a scan's
-# differences take all of it, the matrix-product distances a d-th, and those
-# distances are the largest transient of a run, so the cap sets its peak RSS
+# differences take at most all of it, the matrix-product distances and the
+# ones-augmented block at most a d-th, and those are the largest transient
+# of a run, so the cap sets its peak RSS
 _BLOCK_CELLS = 1_000_000
 # query rows x stored points below which a block takes the exact scan: its
-# measured crossover with the certified path lay at 200-800 (d 2-20, k 1-3)
+# measured crossover with the certified path lies at 200-800 (d 2-20,
+# k 1-3); at 400 the certified path took 0.56-1.18x the scan's time
+# (BENCH_knn_fold.json)
 _SCAN_CELLS = 400
 
 _EPS = np.finfo(np.float64).eps
@@ -50,22 +53,26 @@ class KnnConfig:
 @dataclass(frozen=True, eq=False)
 class KnnModel:
     """Training points stored verbatim, in fit order, with the terms of the
-    matrix-product distance that depend on them alone: each point's |x|^2,
-    the points as a (d, n) array scaled by -2, and the largest |x|."""
+    matrix-product distance that depend on them alone: a column-major
+    (d + 1, n) operand whose first d rows are the points' coordinates scaled
+    by -2 and whose last row is each point's |x|^2, and the largest |x|."""
 
     config: KnnConfig
     features: np.ndarray  # (n, d)
     labels: np.ndarray  # (n,)
-    _sq_norms: np.ndarray = field(init=False, repr=False)  # (n,)
-    _scaled_t: np.ndarray = field(init=False, repr=False)  # (d, n)
+    _operand: np.ndarray = field(init=False, repr=False)  # (d + 1, n): [-2 x^T; |x|^2]
     _max_norm: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         points = self.features
-        sq_norms = np.einsum("ij,ij->i", points, points)
-        object.__setattr__(self, "_sq_norms", sq_norms)
-        object.__setattr__(self, "_scaled_t", points.T * -2.0)
-        object.__setattr__(self, "_max_norm", np.sqrt(sq_norms.max()))
+        # kept as the transpose of an (n, d + 1) array: with a row-major
+        # operand the matrix product raised a run's peak RSS by 0.1 MiB on
+        # the reference workload (OpenBLAS); column-major, it does not
+        stacked = np.empty((points.shape[0], points.shape[1] + 1))
+        np.multiply(points, -2.0, out=stacked[:, :-1])
+        np.einsum("ij,ij->i", points, points, out=stacked[:, -1])
+        object.__setattr__(self, "_operand", stacked.T)
+        object.__setattr__(self, "_max_norm", np.sqrt(stacked[:, -1].max()))
 
     @property
     def n_points(self) -> int:
@@ -96,10 +103,12 @@ def _euclidean_positives(model: KnnModel, block: np.ndarray, k: int) -> np.ndarr
     query row. A block with a non-finite input takes the full scan.
 
     Each row ranks the points by g = |x|^2 - 2 q.x; the row-constant |q|^2
-    does not change the order of a row. k passes over the block of g each
-    take the row-wise argmin, add that point's label to the row's class-1
-    count, keep its g as g_k and overwrite it with +inf. One more argmin
-    then gives the (k+1)-th smallest g, which is +inf when n_points == k.
+    does not change the order of a row. One matrix product of the block,
+    with a column of ones appended, by the model's operand [-2 x^T; |x|^2]
+    gives the block of g. k passes over it each take the row-wise argmin,
+    add that point's label to the row's class-1 count and overwrite its g
+    with +inf, the last after keeping it as g_k. One more argmin then gives
+    the (k+1)-th smallest g, which is +inf when n_points == k.
 
     The certified shortlist {g <= g_k + m}, m >= 0 the rounding margin
     below, holds every true neighbor and the k picked points. It holds a
@@ -121,29 +130,37 @@ def _euclidean_positives(model: KnnModel, block: np.ndarray, k: int) -> np.ndarr
     pipeline, the CLI default and the paper use k = 3. Reading the (k+1)-th
     g by an argmin and a gather rather than a row min took 13 against 26 us
     at 200 x 80 and 73 against 123 us at 700 x 280, and the model's own
-    terms of g are computed once, at fit.
+    terms of g are computed once, at fit. With |x|^2 folded into the
+    operand, no pass adds it to the block: the block of g took 107 against
+    173 us at 700 x 280 and 12 against 17 us at 200 x 80, and a whole
+    knn_predict_batch call 337 against 415 us and 60 against 64 us
+    (BENCH_knn_fold.json).
 
     Rounding bound. Let u = eps/2, gamma_n = n*u/(1 - n*u) and
     R = |q| + max|x|, so that R^2 bounds D^2 and |x|^2 + 2|q||x|. Scaling
-    by -2 is exact, so the matrix product and |x|^2 are two sums of d terms,
-    each within gamma_d of the sum of its terms' magnitudes, and adding them
-    rounds once more: g is within
-    gamma_d (|x|^2 + 2|q||x|) + u(1 + gamma_d) R^2 <= gamma_{d+1} R^2
-    of D^2 - |q|^2. That is no more than the gamma_{d+2} R^2 bound of the
-    full |q|^2 + |x|^2 - 2 q.x, and the exact path rounds the difference,
-    its square and a d-term sum, so its squared distance s is within
-    gamma_{d+2} R^2 of D^2. If g_k is the k-th smallest g, k points have
-    s <= g_k + |q|^2 + 2 gamma_{d+2} R^2, so the k-th smallest s is no
-    larger. After the square root a point ties the k-th distance only if its
-    s is at most (1+u)^2/(1-u)^2 times the k-th, an excess under 5u R^2.
-    Every true neighbor thus has g <= g_k + 4 gamma_{d+2} R^2 + 5u R^2,
-    about (4d + 13)u R^2 above g_k; |q|^2 cancels. The shortlist keeps
-    g <= g_k + 4(d + 8) eps R^2 = g_k + (8d + 64)u R^2, about twice that,
-    which also covers the rounding of R and of the threshold itself.
-    A product that underflows breaks the relative bounds: it may then be
-    off by up to eta/2 absolute, eta the smallest subnormal, so g gains at
-    most d*eta and s at most d*eta/2. The margin adds 4(d + 8) eta, which
-    covers four times their sum.
+    by -2 and multiplying by 1 are exact. The stored fl(|x|^2), a sum of d
+    terms, is within gamma_d |x|^2 of |x|^2, and the product is a sum of
+    d + 1 terms, within gamma_{d+1} of the sum of their magnitudes,
+    2|q||x| + fl(|x|^2) at most. So g is within
+    gamma_d |x|^2 + gamma_{d+1} (2|q||x| + (1 + gamma_d)|x|^2)
+    <= gamma_{2d+1} R^2 of D^2 - |q|^2, since
+    gamma_d + gamma_{d+1} + gamma_d gamma_{d+1} <= gamma_{2d+1}. The exact
+    path rounds the difference, its square and a d-term sum, so its squared
+    distance s is within gamma_{d+2} R^2 of D^2. If g_k is the k-th
+    smallest g, k points have
+    s <= g_k + |q|^2 + (gamma_{2d+1} + gamma_{d+2}) R^2, so the k-th
+    smallest s is no larger. After the square root a point ties the k-th
+    distance only if its s is at most (1+u)^2/(1-u)^2 times the k-th, an
+    excess under 5u R^2. Every true neighbor thus has
+    g <= g_k + 2 (gamma_{2d+1} + gamma_{d+2}) R^2 + 5u R^2, about
+    (6d + 11)u R^2 above g_k; |q|^2 cancels. The shortlist keeps
+    g <= g_k + 4(d + 8) eps R^2 = g_k + (8d + 64)u R^2, (2d + 53)u R^2
+    more at every d, which also covers the rounding of R and of the
+    threshold itself. A product that underflows breaks the relative bounds:
+    it may then be off by up to eta/2 absolute, eta the smallest subnormal,
+    so g gains at most d*eta, half in fl(|x|^2) and half in the product,
+    and s at most d*eta/2. The margin adds 4(d + 8) eta, which covers four
+    times their sum.
     """
     points, labels = model.features, model.labels
     d = points.shape[1]
@@ -152,15 +169,19 @@ def _euclidean_positives(model: KnnModel, block: np.ndarray, k: int) -> np.ndarr
     # every term of g is at most scale in magnitude; a NaN fails this too
     if not np.isfinite(2.0 * scale).all():
         return labels[_scan(points, block, k)].sum(axis=1)
-    gram = block @ model._scaled_t
-    gram += model._sq_norms
+    augmented = np.empty((len(block), d + 1))
+    augmented[:, :d] = block
+    augmented[:, d] = 1.0
+    gram = augmented @ model._operand
     rows = np.arange(len(block))
     positives = np.zeros(len(block), dtype=np.int64)
-    for _ in range(k):
+    for pass_ in range(k):
+        if pass_:
+            gram[rows, nearest] = np.inf
         nearest = gram.argmin(axis=1)
         positives += labels[nearest]
-        kth = gram[rows, nearest]
-        gram[rows, nearest] = np.inf
+    kth = gram[rows, nearest]
+    gram[rows, nearest] = np.inf
     margin = 4.0 * (d + 8) * (_EPS * scale + _TINY)
     wide = np.flatnonzero(gram[rows, gram.argmin(axis=1)] <= kth + margin)
     if wide.size:
@@ -201,7 +222,8 @@ def knn_predict_batch(model: KnnModel, queries: np.ndarray) -> tuple[np.ndarray,
         )
     k = min(model.config.k, model.n_points)
     positives = np.empty(len(queries), dtype=np.int64)
-    step = max(1, _BLOCK_CELLS // max(1, model.features.size))
+    d = model.dimensionality
+    step = max(1, _BLOCK_CELLS // max(1, d * (model.n_points + d + 1)))
     for start in range(0, len(queries), step):
         block = queries[start : start + step]
         if len(block) * model.n_points < _SCAN_CELLS:

@@ -117,6 +117,9 @@ class WeightDistribution:
         arr = np.array(self.weights, dtype=np.float64)
         if arr.ndim != 1 or arr.size == 0:
             raise EmptyWindow("weight distribution needs at least one entry")
+        # NaN fails every comparison below, the sum check's included
+        if not np.isfinite(arr).all():
+            raise ValueError("weights must be finite")
         if np.any(arr < 0.0):
             raise ValueError("weights must be non-negative")
         if not np.any(arr > 0.0):
@@ -137,8 +140,8 @@ class WeightDistribution:
         if arr.size == 0:
             raise EmptyWindow("cannot normalize an empty weight vector")
         total = arr.sum()
-        if total <= 0.0:
-            raise ValueError("weights must have a positive sum")
+        if not 0.0 < total < np.inf:
+            raise ValueError(f"weights must have a positive finite sum, got {total!r}")
         return cls(arr / total)
 
 

@@ -173,14 +173,16 @@ class TestNeighborSearchExactness:
             assert (one_labels[0], one_scores[0]) == (want_label, want_score)
             assert _euclidean_positives(model, q[None], k)[0] / k == want_score
 
+    @pytest.mark.parametrize("d", [5, 64])
     @pytest.mark.parametrize("offset", [1e3, 1e6])
-    def test_large_offset_coordinates(self, offset):
+    def test_large_offset_coordinates(self, offset, d):
         # |q|^2 + |x|^2 - 2 q.x cancels almost every digit here: at 1e3 the
-        # shortlist is still narrower than the model, at 1e6 it is not
+        # shortlist is still narrower than the model, at 1e6 it is not. The
+        # rounding error of g grows with 2d + 1 terms, the margin with 8d + 64
         gen = np.random.default_rng(int(offset))
-        rows = offset + gen.normal(scale=1e-3, size=(300, 5))
+        rows = offset + gen.normal(scale=1e-3, size=(300, d))
         model = knn_fit(KnnConfig(k=3), rows, gen.integers(0, 2, 300))
-        queries = np.vstack([offset + gen.normal(scale=1e-3, size=(30, 5)), rows[:10]])
+        queries = np.vstack([offset + gen.normal(scale=1e-3, size=(30, d)), rows[:10]])
         self.assert_matches_oracle(model, queries)
 
     @pytest.mark.parametrize("k", [1, 3, 5, 7, 25])

@@ -83,6 +83,13 @@ class TestWeightDistribution:
         with pytest.raises(ValueError):
             WeightDistribution(np.array([0.5, 0.6, -0.1]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_weights(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            WeightDistribution(np.array([bad, 1.0]))
+        with pytest.raises(ValueError, match="finite"):
+            WeightDistribution.normalized([bad, 1.0])
+
     def test_rejects_wrong_sum(self):
         with pytest.raises(ValueError):
             WeightDistribution(np.array([0.5, 0.6]))
