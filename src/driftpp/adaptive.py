@@ -308,7 +308,9 @@ def run_experiment(
     ``chunks`` is pulled once, one chunk at a time, and the next chunk only
     after the last one's records have gone to the sink. So a generator that
     reads each chunk when it is pulled, as ``driftpp run`` passes, holds one
-    chunk at a time, and memory stays bounded by the largest chunk. An
+    chunk at a time, and memory stays bounded by the largest chunk; the
+    initial chunk is let go after pretraining, so a caller that keeps no
+    reference of its own frees it before the first pull. An
     :class:`UnreadChunk` in the stream gets an error report, and the run
     goes on. Returns one report per chunk, the initial-classifier report
     first. Each chunk's records go to ``record_sink`` as one
@@ -321,6 +323,8 @@ def run_experiment(
         record_sink(initial_records)
     reports = [initial_report]
     seen = {initial.id}
+    # only the initial chunk's id is needed from here on
+    del initial, initial_records
     for chunk in chunks:
         if chunk.id in seen:
             raise ValueError(f"chunk ids must be unique, duplicated: {chunk.id!r}")

@@ -245,7 +245,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     if repeated:
         raise ConfigError(f"{config_path}: chunk file names repeat: {repeated}")
 
-    initial = read_chunk_csv(initial_path)
+    # read before any output; held in a list so that run_experiment, which
+    # lets go of it after pretraining, gets the only reference
+    initial = [read_chunk_csv(initial_path)]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     records_path = out_dir / "records.jsonl"
@@ -266,7 +268,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
         # each file is read when run_experiment pulls its chunk; map keeps
         # no chunk it has handed on
-        reports = run_experiment(initial, map(_read_adaptive, chunk_paths), config, record_sink=sink)
+        reports = run_experiment(initial.pop(), map(_read_adaptive, chunk_paths), config, record_sink=sink)
 
     _write_reports_csv(reports, out_dir / "reports.csv")
     for report in reports:

@@ -9,15 +9,18 @@ index) order, so distance ties at the neighborhood boundary go to the lower
 stored-point index and results are reproducible regardless of query
 batching. k argmin passes over the squared distance in matrix-product form
 pick each row's k smallest values in place. A row whose next smallest value
-lies beyond a certified rounding margin of the k-th is scored from the
-picked labels directly. Rows tied or nearly tied at the k-th distance,
-blocks with non-finite inputs and blocks of fewer than ``_SCAN_CELLS`` query
-and stored point pairs, where the passes' fixed cost outweighs their saving,
-scan every stored point: a stable sort of the row's exact distances, NaN
-last, gives the (distance, stored index) order.
+lies beyond a certified rounding margin of the k-th, one bound per block
+from its largest query, is scored from the picked labels directly. Rows
+tied or nearly tied at the k-th distance, blocks with non-finite inputs and
+blocks of fewer than ``_SCAN_CELLS`` query and stored point pairs, where
+the passes' fixed cost outweighs their saving, scan every stored point: a
+stable sort of the row's exact distances, NaN last, gives the (distance,
+stored index) order. One far-out row can send its block-mates to the scan;
+their answers are the same either way.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,13 +35,14 @@ __all__ = ["KnnConfig", "KnnModel", "knn_fit", "knn_predict_batch"]
 # of a run, so the cap sets its peak RSS
 _BLOCK_CELLS = 1_000_000
 # query rows x stored points below which a block takes the exact scan: its
-# measured crossover with the certified path lies at 200-800 (d 2-20,
-# k 1-3); at 400 the certified path took 0.56-1.18x the scan's time
-# (BENCH_knn_fold.json)
-_SCAN_CELLS = 400
+# measured crossover with the certified path lies at 80-400 (d 2-20,
+# k 1-3, 8- and 40-point models); the certified path took 1.07-1.66x the
+# scan's time at 80, 0.66-1.22x at 200 and 0.42-0.87x at 400
+# (BENCH_knn_block_bound.json)
+_SCAN_CELLS = 200
 
-_EPS = np.finfo(np.float64).eps
-_TINY = np.finfo(np.float64).smallest_subnormal
+_EPS = float(np.finfo(np.float64).eps)
+_TINY = float(np.finfo(np.float64).smallest_subnormal)
 
 
 @dataclass(frozen=True)
@@ -72,7 +76,7 @@ class KnnModel:
         np.multiply(points, -2.0, out=stacked[:, :-1])
         np.einsum("ij,ij->i", points, points, out=stacked[:, -1])
         object.__setattr__(self, "_operand", stacked.T)
-        object.__setattr__(self, "_max_norm", np.sqrt(stacked[:, -1].max()))
+        object.__setattr__(self, "_max_norm", math.sqrt(stacked[:, -1].max()))
 
     @property
     def n_points(self) -> int:
@@ -108,7 +112,9 @@ def _euclidean_positives(model: KnnModel, block: np.ndarray, k: int) -> np.ndarr
     gives the block of g. k passes over it each take the row-wise argmin,
     add that point's label to the row's class-1 count and overwrite its g
     with +inf, the last after keeping it as g_k. One more argmin then gives
-    the (k+1)-th smallest g, which is +inf when n_points == k.
+    the (k+1)-th smallest g, which is +inf when n_points == k. The passes
+    write and gather by flat cell index, a row's argmin plus its row's
+    offset into the block.
 
     The certified shortlist {g <= g_k + m}, m >= 0 the rounding margin
     below, holds every true neighbor and the k picked points. It holds a
@@ -125,19 +131,20 @@ def _euclidean_positives(model: KnnModel, block: np.ndarray, k: int) -> np.ndarr
     shortlist mask (d = 10, one BLAS thread, BENCH_knn_select.json), k = 3
     took 0.33x the time at 700 queries x 275 points and 0.63x at 200 x 80.
     They broke even near k = 5 on 80-point models and k = 10 on 275-point
-    models, and took 3.8x and 2.1x at k = 25. A whole call at 700 x 275,
-    k = 3, also saves the partition's fresh allocation: 0.29x the time. The
-    pipeline, the CLI default and the paper use k = 3. Reading the (k+1)-th
-    g by an argmin and a gather rather than a row min took 13 against 26 us
-    at 200 x 80 and 73 against 123 us at 700 x 280, and the model's own
-    terms of g are computed once, at fit. With |x|^2 folded into the
-    operand, no pass adds it to the block: the block of g took 107 against
-    173 us at 700 x 280 and 12 against 17 us at 200 x 80, and a whole
-    knn_predict_batch call 337 against 415 us and 60 against 64 us
-    (BENCH_knn_fold.json).
+    models, and took 3.8x and 2.1x at k = 25. The pipeline, the CLI default
+    and the paper use k = 3. The rest is fixed cost per block, which the
+    pipeline's many small blocks pay often: the model's own terms of g are
+    computed once, at fit, and folded into the operand, so no pass adds
+    them (BENCH_knn_fold.json); one scalar bound per block and flat-index
+    passes, in place of a bound per row and pairwise (row, argmin)
+    indexing, took a whole knn_predict_batch call from 58 to 50 us at
+    200 x 79 and from 331 to 301 us at 700 x 281
+    (BENCH_knn_block_bound.json).
 
     Rounding bound. Let u = eps/2, gamma_n = n*u/(1 - n*u) and
-    R = |q| + max|x|, so that R^2 bounds D^2 and |x|^2 + 2|q||x|. Scaling
+    R = max|q| + max|x|, the block's largest query norm plus the model's
+    largest point norm, so that R^2 bounds D^2 and |x|^2 + 2|q||x| for
+    every row of the block. Scaling
     by -2 and multiplying by 1 are exact. The stored fl(|x|^2), a sum of d
     terms, is within gamma_d |x|^2 of |x|^2, and the product is a sum of
     d + 1 terms, within gamma_{d+1} of the sum of their magnitudes,
@@ -161,29 +168,39 @@ def _euclidean_positives(model: KnnModel, block: np.ndarray, k: int) -> np.ndarr
     so g gains at most d*eta, half in fl(|x|^2) and half in the product,
     and s at most d*eta/2. The margin adds 4(d + 8) eta, which covers four
     times their sum.
+
+    One bound serves the whole block. R is at least each row's own
+    |q| + max|x|, and a wider margin only sends more rows to the scan, so
+    a row's answer does not depend on the other rows. The path it takes
+    does: one far-out row widens the margin for its whole block, and its
+    block-mates may then take the scan. A NaN, infinite or overflowing row
+    makes 2 R^2 non-finite, so its block takes the full scan.
     """
     points, labels = model.features, model.labels
-    d = points.shape[1]
-    sq_block = np.einsum("ij,ij->i", block, block)
-    scale = (np.sqrt(sq_block) + model._max_norm) ** 2
+    n, d = points.shape
+    # one bound for the block, a Python float, so the checks below are scalar
+    radius = math.sqrt(np.einsum("ij,ij->i", block, block).max()) + model._max_norm
+    scale = radius * radius
     # every term of g is at most scale in magnitude; a NaN fails this too
-    if not np.isfinite(2.0 * scale).all():
+    if not math.isfinite(2.0 * scale):
         return labels[_scan(points, block, k)].sum(axis=1)
     augmented = np.empty((len(block), d + 1))
     augmented[:, :d] = block
     augmented[:, d] = 1.0
     gram = augmented @ model._operand
-    rows = np.arange(len(block))
+    cells = gram.reshape(-1)
+    offsets = np.arange(0, gram.size, n)
     positives = np.zeros(len(block), dtype=np.int64)
     for pass_ in range(k):
         if pass_:
-            gram[rows, nearest] = np.inf
+            cells[nearest] = np.inf
         nearest = gram.argmin(axis=1)
         positives += labels[nearest]
-    kth = gram[rows, nearest]
-    gram[rows, nearest] = np.inf
+        nearest += offsets
+    kth = cells[nearest]
+    cells[nearest] = np.inf
     margin = 4.0 * (d + 8) * (_EPS * scale + _TINY)
-    wide = np.flatnonzero(gram[rows, gram.argmin(axis=1)] <= kth + margin)
+    wide = np.flatnonzero(cells[gram.argmin(axis=1) + offsets] <= kth + margin)
     if wide.size:
         positives[wide] = labels[_scan(points, block[wide], k)].sum(axis=1)
     return positives

@@ -469,6 +469,23 @@ class TestRun:
         assert main(["run", "--config", str(run_config_for(tmp_path, stream)), "--out", str(tmp_path / "out")]) == 0
         assert alive == [[]] * 5
 
+    def test_initial_chunk_is_freed_after_pretraining(self, tmp_path, monkeypatch):
+        # neither cmd_run nor run_experiment holds the initial chunk once the
+        # model is trained and its records are written
+        stream = generate_stationary(tmp_path, n_chunks=4)
+        read, refs, alive = cli.read_chunk_csv, [], {}
+
+        def spy(path):
+            alive[path.stem] = [name for name, ref in refs if ref() is not None]
+            chunk = read(path)
+            if chunk.id == "chunk_000":
+                refs.extend([("chunk", weakref.ref(chunk)), ("features", weakref.ref(chunk.features))])
+            return chunk
+
+        monkeypatch.setattr(cli, "read_chunk_csv", spy)
+        assert main(["run", "--config", str(run_config_for(tmp_path, stream)), "--out", str(tmp_path / "out")]) == 0
+        assert alive == {"chunk_000": [], "chunk_001": [], "chunk_002": [], "chunk_003": []}
+
     def test_missing_initial_named(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path / "broken.cfg",

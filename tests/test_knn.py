@@ -254,6 +254,62 @@ class TestNeighborSearchExactness:
             assert one_labels[0] == labels[i]
             assert one_scores[0] == scores[i]
 
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("d, small", [(2, [3]), (3, [3, 2]), (5, [4, 2]), (10, [5, 3, 1]), (64, [14, 1])])
+    def test_gap_just_inside_the_needed_margin_reaches_the_scan(self, monkeypatch, d, small, k):
+        # exact arithmetic: at a query at the origin g is |x|^2, and every
+        # square and sum below is a multiple of 2^-12 under 2^41, so g has
+        # no rounding. The k-th and (k+1)-th g differ by m 2^-12, just below
+        # the (6d + 11)u R^2 the rounding bound needs a row to be scanned at
+        # and above the (d + 6.5)u R^2 of a margin cut below that need
+        far = np.zeros((2, d))
+        far[:, 0] = 2.0**20
+        far[1, 1 : 1 + len(small)] = np.array(small) * 2.0**-6
+        near = np.zeros((k - 1, d))
+        near[:, 0] = np.arange(1, k)
+        model = knn_fit(KnnConfig(k=k), np.vstack([near, far]), [1] * (k - 1) + [0, 1])
+        g = np.einsum("ij,ij->i", model.features, model.features)
+        gap, u_r2 = g[k] - g[k - 1], 2.0**-53 * g.max()
+        assert g[k - 1] == 2.0**40 and gap == sum(j * j for j in small) * 2.0**-12
+        assert (d + 6.5) * u_r2 < gap < (6 * d + 11) * u_r2
+        scan, scanned = knn._scan, []
+
+        def spy(points, block, k):
+            scanned.append(len(block))
+            return scan(points, block, k)
+
+        monkeypatch.setattr(knn, "_scan", spy)
+        query = np.zeros((1, d))
+        assert _euclidean_positives(model, query, k) == model.labels[scan(model.features, query, k)].sum()
+        assert scanned == [1]
+
+    def test_a_far_row_widens_its_block_but_changes_no_answer(self, monkeypatch):
+        # the rounding margin is one bound per block, from its largest query:
+        # a finite row at norm 1e100 (squares near 1e200, no overflow) widens
+        # it so far that every row beside it takes the scan, where each row
+        # gets the answer it gets alone
+        gen = np.random.default_rng(7)
+        model = knn_fit(KnnConfig(k=3), gen.normal(size=(100, 4)), gen.integers(0, 2, 100))
+        ordinary = gen.normal(size=(40, 4))
+        queries = np.vstack([ordinary[:20], [[1e100, -1e100, 0.0, 1e100]], ordinary[20:]])
+        scan, scanned = knn._scan, []
+
+        def spy(points, block, k):
+            scanned.append(block.copy())
+            return scan(points, block, k)
+
+        monkeypatch.setattr(knn, "_scan", spy)
+        knn_predict_batch(model, ordinary)
+        assert sum(len(block) for block in scanned) < len(ordinary)
+        scanned.clear()
+        labels, scores = knn_predict_batch(model, queries)
+        np.testing.assert_array_equal(np.vstack(scanned), queries)
+        for i, q in enumerate(queries):
+            assert (labels[i], scores[i]) == brute_force_predict(model, q)
+            one_labels, one_scores = knn_predict_batch(model, q[None])
+            assert (one_labels[0], one_scores[0]) == (labels[i], scores[i])
+            assert _euclidean_positives(model, q[None], 3)[0] / 3 == scores[i]
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_block_with_a_non_finite_row_takes_the_full_scan(self, bad):
         # one NaN or infinite row sends its whole block to the scan, so the
