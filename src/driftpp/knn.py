@@ -2,7 +2,9 @@
 
 :func:`knn_predict_batch` is the one prediction entry point: it takes an
 (n, d) query block and returns (labels, scores) arrays; a single query is a
-one-row block, ``x[None]``.
+one-row block, ``x[None]``. A model holds its points once, in a read-only
+(n, d + 1) array [x | |x|^2]; ``features`` is a view of its first d columns,
+not C-contiguous, and the -2 of the distance goes on the query block.
 
 The neighbors of a query are the first k stored points in (distance, stored
 index) order, so distance ties at the neighborhood boundary go to the lower
@@ -31,8 +33,8 @@ __all__ = ["KnnConfig", "KnnModel", "knn_fit", "knn_predict_batch"]
 
 # cap on scratch memory per block of query rows, in float64 cells: a scan's
 # differences take at most all of it, the matrix-product distances and the
-# ones-augmented block at most a d-th, and those are the largest transient
-# of a run, so the cap sets its peak RSS
+# block's -2-scaled, ones-augmented copy at most a d-th, and those are the
+# largest transient of a run, so the cap sets its peak RSS
 _BLOCK_CELLS = 1_000_000
 # query rows x stored points below which a block takes the exact scan: its
 # measured crossover with the certified path lies at 80-400 (d 2-20,
@@ -56,25 +58,36 @@ class KnnConfig:
 
 @dataclass(frozen=True, eq=False)
 class KnnModel:
-    """Training points stored verbatim, in fit order, with the terms of the
-    matrix-product distance that depend on them alone: a column-major
-    (d + 1, n) operand whose first d rows are the points' coordinates scaled
-    by -2 and whose last row is each point's |x|^2, and the largest |x|."""
+    """Points and 0/1 labels in fit order, the points held once in a read-only
+    (n, d + 1) array [x | |x|^2]: ``features`` views its first d columns, not
+    C-contiguous, and its transpose is the operand. It checks its inputs."""
 
     config: KnnConfig
-    features: np.ndarray  # (n, d)
+    features: np.ndarray  # (n, d) view of the stored points
     labels: np.ndarray  # (n,)
-    _operand: np.ndarray = field(init=False, repr=False)  # (d + 1, n): [-2 x^T; |x|^2]
+    _operand: np.ndarray = field(init=False, repr=False)  # (d + 1, n): [x^T; |x|^2]
     _max_norm: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        points = self.features
-        # kept as the transpose of an (n, d + 1) array: with a row-major
-        # operand the matrix product raised a run's peak RSS by 0.1 MiB on
-        # the reference workload (OpenBLAS); column-major, it does not
-        stacked = np.empty((points.shape[0], points.shape[1] + 1))
-        np.multiply(points, -2.0, out=stacked[:, :-1])
-        np.einsum("ij,ij->i", points, points, out=stacked[:, -1])
+        points = np.asarray(self.features, dtype=np.float64)
+        labels = np.asarray(self.labels)
+        if len(points) == 0:
+            raise EmptyTrainingSet("cannot fit a nearest-neighbor model on zero instances")
+        if points.ndim != 2 or labels.shape != points.shape[:1]:
+            raise DimensionError(
+                f"expected (n, d) features and (n,) labels, got {points.shape} and {labels.shape}"
+            )
+        if not np.all((labels == 0) | (labels == 1)):
+            raise ValueError("labels must be 0 or 1")
+        labels = np.array(labels, dtype=np.int64)
+        # the operand is its transpose: a row-major operand raised a run's peak
+        # RSS by 0.1 MiB on the reference workload (OpenBLAS)
+        stacked = np.empty((len(points), points.shape[1] + 1))
+        stacked[:, :-1] = points
+        np.einsum("ij,ij->i", stacked[:, :-1], stacked[:, :-1], out=stacked[:, -1])
+        stacked.flags.writeable = labels.flags.writeable = False
+        object.__setattr__(self, "features", stacked[:, :-1])
+        object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "_operand", stacked.T)
         object.__setattr__(self, "_max_norm", math.sqrt(stacked[:, -1].max()))
 
@@ -91,14 +104,15 @@ def _scan(points: np.ndarray, block: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k nearest points of each query row by a full scan of
     exact distances, shape (n_rows, k).
 
-    Each (query, point) distance is reduced on its own, so it does not depend
-    on which other rows share the block. The order is by distance, not its
-    square: the square root can round two distinct squared distances to one
-    value, a tie that goes to the lower index. Scratch memory is
-    n_rows * n_points * d cells; callers pass row blocks.
+    Each (query, point) distance is reduced on its own, apart from the
+    block's other rows. The order is by distance, not its square: the square
+    root can round two distinct squared distances to one value, a tie that
+    goes to the lower index. An overflow gives inf and inf - inf gives NaN,
+    which sorts last, so neither warns. Scratch is n_rows * n_points * d cells.
     """
-    diff = block[:, None, :] - points[None, :, :]
-    distances = np.sqrt((diff * diff).sum(axis=-1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = block[:, None, :] - points[None, :, :]
+        distances = np.sqrt((diff * diff).sum(axis=-1))
     return np.argsort(distances, axis=1, kind="stable")[:, :k]
 
 
@@ -108,13 +122,13 @@ def _euclidean_positives(model: KnnModel, block: np.ndarray, k: int) -> np.ndarr
 
     Each row ranks the points by g = |x|^2 - 2 q.x; the row-constant |q|^2
     does not change the order of a row. One matrix product of the block,
-    with a column of ones appended, by the model's operand [-2 x^T; |x|^2]
-    gives the block of g. k passes over it each take the row-wise argmin,
-    add that point's label to the row's class-1 count and overwrite its g
-    with +inf, the last after keeping it as g_k. One more argmin then gives
-    the (k+1)-th smallest g, which is +inf when n_points == k. The passes
-    write and gather by flat cell index, a row's argmin plus its row's
-    offset into the block.
+    scaled by -2 and with a column of ones appended, by the model's operand
+    [x^T; |x|^2] gives the block of g. k passes over it each take the
+    row-wise argmin, add that point's label to the row's class-1 count and
+    overwrite its g with +inf, the last after keeping it as g_k. One more
+    argmin then gives the (k+1)-th smallest g, which is +inf when
+    n_points == k. The passes write and gather by flat cell index, a row's
+    argmin plus its row's offset into the block.
 
     The certified shortlist {g <= g_k + m}, m >= 0 the rounding margin
     below, holds every true neighbor and the k picked points. It holds a
@@ -129,26 +143,24 @@ def _euclidean_positives(model: KnnModel, block: np.ndarray, k: int) -> np.ndarr
     picked cells of a row, where np.partition copies the whole block; so
     they win at small k and lose as k grows. Against np.partition plus the
     shortlist mask (d = 10, one BLAS thread, BENCH_knn_select.json), k = 3
-    took 0.33x the time at 700 queries x 275 points and 0.63x at 200 x 80.
-    They broke even near k = 5 on 80-point models and k = 10 on 275-point
-    models, and took 3.8x and 2.1x at k = 25. The pipeline, the CLI default
-    and the paper use k = 3. The rest is fixed cost per block, which the
-    pipeline's many small blocks pay often: the model's own terms of g are
-    computed once, at fit, and folded into the operand, so no pass adds
-    them (BENCH_knn_fold.json); one scalar bound per block and flat-index
-    passes, in place of a bound per row and pairwise (row, argmin)
-    indexing, took a whole knn_predict_batch call from 58 to 50 us at
-    200 x 79 and from 331 to 301 us at 700 x 281
-    (BENCH_knn_block_bound.json).
+    took 0.33x the time at 700 queries x 275 points and 0.63x at 200 x 80;
+    they broke even near k = 5 to 10. The pipeline, the CLI default and the
+    paper use k = 3. The rest is fixed cost per block, paid often by the
+    pipeline's many small blocks: the model's terms of g are folded into the
+    operand at fit (BENCH_knn_fold.json), and one scalar bound per block
+    with flat-index passes took a call from 58 to 50 us at 200 x 79 and
+    from 331 to 301 us at 700 x 281 (BENCH_knn_block_bound.json).
 
     Rounding bound. Let u = eps/2, gamma_n = n*u/(1 - n*u) and
     R = max|q| + max|x|, the block's largest query norm plus the model's
     largest point norm, so that R^2 bounds D^2 and |x|^2 + 2|q||x| for
-    every row of the block. Scaling
-    by -2 and multiplying by 1 are exact. The stored fl(|x|^2), a sum of d
-    terms, is within gamma_d |x|^2 of |x|^2, and the product is a sum of
-    d + 1 terms, within gamma_{d+1} of the sum of their magnitudes,
-    2|q||x| + fl(|x|^2) at most. So g is within
+    every row of the block. Scaling the query by -2 is exact, as each
+    (-2q_i) x_i is -2 q_i x_i rounded once; it cannot overflow, since the
+    finiteness check before it bounds max|q| below sqrt(DBL_MAX/2).
+    Multiplying by 1 is exact. The stored fl(|x|^2), a sum of d terms, is
+    within gamma_d |x|^2 of |x|^2, and the product is a sum of d + 1 terms,
+    within gamma_{d+1} of the sum of their magnitudes, 2|q||x| + fl(|x|^2)
+    at most. So g is within
     gamma_d |x|^2 + gamma_{d+1} (2|q||x| + (1 + gamma_d)|x|^2)
     <= gamma_{2d+1} R^2 of D^2 - |q|^2, since
     gamma_d + gamma_{d+1} + gamma_d gamma_{d+1} <= gamma_{2d+1}. The exact
@@ -185,7 +197,7 @@ def _euclidean_positives(model: KnnModel, block: np.ndarray, k: int) -> np.ndarr
     if not math.isfinite(2.0 * scale):
         return labels[_scan(points, block, k)].sum(axis=1)
     augmented = np.empty((len(block), d + 1))
-    augmented[:, :d] = block
+    np.multiply(block, -2.0, out=augmented[:, :d])
     augmented[:, d] = 1.0
     gram = augmented @ model._operand
     cells = gram.reshape(-1)
@@ -207,21 +219,8 @@ def _euclidean_positives(model: KnnModel, block: np.ndarray, k: int) -> np.ndarr
 
 
 def knn_fit(config: KnnConfig, features, labels) -> KnnModel:
-    """Store read-only copies of an (n, d) feature array and its (n,)
-    labels, each 0 or 1. Duplicate rows are kept."""
-    features = np.array(features, dtype=np.float64)
-    labels = np.asarray(labels)
-    if len(features) == 0:
-        raise EmptyTrainingSet("cannot fit a nearest-neighbor model on zero instances")
-    if features.ndim != 2 or labels.shape != features.shape[:1]:
-        raise DimensionError(
-            f"expected (n, d) features and (n,) labels, got {features.shape} and {labels.shape}"
-        )
-    if not np.all((labels == 0) | (labels == 1)):
-        raise ValueError("labels must be 0 or 1")
-    labels = np.array(labels, dtype=np.int64)
-    features.flags.writeable = False
-    labels.flags.writeable = False
+    """Fit a model to an (n, d) feature array and its (n,) labels, each 0
+    or 1. The model holds its own read-only copy; duplicate rows are kept."""
     return KnnModel(config, features, labels)
 
 

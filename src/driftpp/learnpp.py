@@ -436,8 +436,8 @@ class LearnPPModel:
         """
         if not self.buffer_size:
             return
-        blocks, self._blocks, self._buffered = self._blocks, [], 0
-        features, labels, missed = (np.concatenate(column) for column in zip(*blocks))
+        features, labels, missed = (np.concatenate(column) for column in zip(*self._blocks))
+        self._blocks, self._buffered = [], 0
         if labels.min() == labels.max():
             logger.warning(
                 "window %d holds only class %d; dropping %d buffered instances",

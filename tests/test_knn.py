@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from driftpp.errors import DimensionError, EmptyTrainingSet
 from driftpp import knn
-from driftpp.knn import KnnConfig, _euclidean_positives, knn_fit, knn_predict_batch
+from driftpp.knn import KnnConfig, KnnModel, _euclidean_positives, knn_fit, knn_predict_batch
 
 
 def euclidean(a, b):
@@ -57,6 +57,54 @@ class TestFit:
     def test_label_outside_binary_raises(self):
         with pytest.raises(ValueError, match="labels must be 0 or 1"):
             knn_fit(KnnConfig(k=3), [[0.0], [1.0], [2.0], [9.0]], [2, 2, 1, 0])
+
+    def test_points_and_operand_share_one_buffer(self):
+        gen = np.random.default_rng(2)
+        model = knn_fit(KnnConfig(), gen.normal(size=(12, 3)), gen.integers(0, 2, 12))
+        assert np.shares_memory(model.features, model._operand)
+        # every float64 array the model holds is a view of one (n, d + 1) buffer
+        owners = []
+        for array in vars(model).values():
+            if isinstance(array, np.ndarray) and array.dtype == np.float64:
+                while array.base is not None:
+                    array = array.base
+                owners.append(array)
+        assert len(owners) == 2 and owners[0] is owners[1]
+        assert owners[0].shape == (12, 4)
+
+    def test_features_and_labels_are_read_only(self):
+        model = knn_fit(KnnConfig(), [[0.0, 1.0], [2.0, 3.0]], [0, 1])
+        for array in (model.features, model.labels):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 1
+
+    def test_caller_arrays_changed_after_fit_change_no_prediction(self):
+        gen = np.random.default_rng(6)
+        rows, labels = gen.normal(size=(30, 4)), gen.integers(0, 2, 30)
+        queries = gen.normal(size=(40, 4))
+        model = knn_fit(KnnConfig(), rows, labels)
+        before = knn_predict_batch(model, queries)
+        rows[:] = 0.0
+        labels[:] = 1 - labels
+        after = knn_predict_batch(model, queries)
+        np.testing.assert_array_equal(after[0], before[0])
+        np.testing.assert_array_equal(after[1], before[1])
+
+    @pytest.mark.parametrize(
+        "features, labels, error",
+        [
+            ([[0.0], [1.0]], [0, 2], ValueError),
+            ([[0.0], [1.0]], [0], DimensionError),
+            (np.empty((0, 2)), [], EmptyTrainingSet),
+        ],
+        ids=["label-2", "length", "empty"],
+    )
+    def test_direct_construction_is_validated(self, features, labels, error):
+        with pytest.raises(error):
+            knn_fit(KnnConfig(), features, labels)
+        with pytest.raises(error):
+            KnnModel(KnnConfig(), features, labels)
 
 
 class TestPredict:
@@ -338,6 +386,24 @@ class TestNeighborSearchExactness:
         labels, scores = knn_predict_batch(model, np.full((1, 5), np.nan))
         assert scores[0] == pytest.approx(2.0 / 3.0)
         assert labels[0] == 1
+
+    def test_overflowing_query_takes_first_stored_points(self):
+        # every squared difference overflows, so every distance is inf and
+        # the stable sort keeps stored order; nothing warns
+        gen = np.random.default_rng(3)
+        model = knn_fit(KnnConfig(k=3), gen.normal(size=(300, 2)), gen.integers(0, 2, 300))
+        labels, scores = knn_predict_batch(model, np.array([[1e200, 0.0]]))
+        assert scores[0] == model.labels[:3].sum() / 3
+        assert labels[0] == (scores[0] > 0.5)
+
+    def test_infinite_query_sorts_an_infinite_point_last(self):
+        # inf - inf gives the stored inf point a NaN distance, which sorts
+        # after the other points' infinite ones; nothing warns
+        rows = [[np.inf, 0.0], [0.0, 1.0], [1.0, 0.0], [2.0, 2.0], [3.0, 0.0]]
+        model = knn_fit(KnnConfig(k=3), rows, [1, 1, 0, 0, 1])
+        labels, scores = knn_predict_batch(model, np.array([[np.inf, 0.0]]))
+        assert scores[0] == pytest.approx(1.0 / 3.0)
+        assert labels[0] == 0
 
 
 class TestSmallBlockScan:

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -524,6 +525,24 @@ class TestModel:
         windows = model.windows_completed
         model.flush_window()
         assert model.windows_completed == windows
+
+    def test_buffered_blocks_are_freed_before_the_round(self, monkeypatch, rng):
+        # the joined window is the round's only copy of the buffered rows
+        model = LearnPPModel(LearnPPConfig(knn=KnnConfig(k=1), seed=0))
+        model.fit_initial(*two_cluster_window(10, 2, rng))
+        for x, label in zip(*two_cluster_window(6, 2, rng)):
+            model.partial_fit(x[None], [label], [False])
+        buffered = [weakref.ref(array) for block in model._blocks for array in block]
+        alive = []
+
+        def spy(*args, **kwargs):
+            alive.extend(ref() is not None for ref in buffered)
+            return run_round(*args, **kwargs)
+
+        monkeypatch.setattr(learnpp, "run_round", spy)
+        model.flush_window()
+        assert alive == [False] * 18
+        assert model.windows_completed == 2
 
     def test_monotone_growth_between_prunes(self, rng):
         model = LearnPPModel(LearnPPConfig(window_size=6, knn=KnnConfig(k=1), seed=3))
