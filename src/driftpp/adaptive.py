@@ -118,16 +118,8 @@ def reduce_chunk(chunk: Chunk, pc_count: int) -> Chunk:
     principal components; chunks already at ``pc_count`` skip the
     projection. Either way the result is standardized per column. A chunk
     whose rows are all the same raises DegenerateData, whatever its width.
-
-    A component whose covariance eigenvalue is within rounding of zero, as
-    when ``pc_count`` exceeds the chunk's rank, becomes an exact zero
-    column, which standardization centres and does not scale. Forming the
-    covariance of an (n, d) chunk sums n rounded products per entry, and
-    ``eigh`` is backward stable, so each eigenvalue carries an absolute
-    error of order ``max(n, d) * eps * lambda_max``; an eigenvalue at or
-    below that cannot be told from zero. It is the tolerance
-    ``numpy.linalg.matrix_rank`` puts on singular values. A chunk whose
-    components all clear it comes out bit for bit as without the test.
+    A component within rounding of zero comes out as a zero column (see
+    :func:`driftpp.pca.pca_fit`).
     """
     if chunk.dimensionality < pc_count:
         raise DimensionError(
@@ -136,14 +128,7 @@ def reduce_chunk(chunk: Chunk, pc_count: int) -> Chunk:
     if (chunk.features == chunk.features[:1]).all():
         raise DegenerateData("every row of the chunk is the same, so it has no variance")
     if chunk.dimensionality > pc_count:
-        model = pca_fit(chunk, pc_count)
-        ratios = model.explained_variance_ratio[:pc_count]
-        rounding = ratios <= max(chunk.features.shape) * np.finfo(np.float64).eps * ratios[0]
-        chunk = pca_transform(model, chunk, pc_count)
-        if rounding.any():
-            features = chunk.features.copy()
-            features[:, rounding] = 0.0
-            chunk = Chunk(chunk.id, features, chunk.labels)
+        chunk = pca_transform(pca_fit(chunk, pc_count), chunk)
     return standardize_chunk(chunk)
 
 

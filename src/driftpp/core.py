@@ -23,9 +23,11 @@ __all__ = ["Chunk", "PredictionRecord", "Records", "validate_chunk", "standardiz
 
 
 def _frozen_array(values, dtype) -> np.ndarray:
+    """A C-ordered copy of ``values`` as a view of a read-only buffer, which
+    no holder can make writeable again."""
     arr = np.array(values, dtype=dtype, order="C")
     arr.flags.writeable = False
-    return arr
+    return arr.view()
 
 
 @dataclass(frozen=True, eq=False)

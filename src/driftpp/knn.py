@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .core import _frozen_array
 from .errors import DimensionError, EmptyTrainingSet
 
 __all__ = ["KnnConfig", "KnnModel", "knn_fit", "knn_predict_batch"]
@@ -79,15 +80,14 @@ class KnnModel:
             )
         if not np.all((labels == 0) | (labels == 1)):
             raise ValueError("labels must be 0 or 1")
-        labels = np.array(labels, dtype=np.int64)
         # the operand is its transpose: a row-major operand raised a run's peak
         # RSS by 0.1 MiB on the reference workload (OpenBLAS)
         stacked = np.empty((len(points), points.shape[1] + 1))
         stacked[:, :-1] = points
         np.einsum("ij,ij->i", stacked[:, :-1], stacked[:, :-1], out=stacked[:, -1])
-        stacked.flags.writeable = labels.flags.writeable = False
+        stacked.flags.writeable = False
         object.__setattr__(self, "features", stacked[:, :-1])
-        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "labels", _frozen_array(labels, np.int64))
         object.__setattr__(self, "_operand", stacked.T)
         object.__setattr__(self, "_max_norm", math.sqrt(stacked[:, -1].max()))
 

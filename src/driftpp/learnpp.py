@@ -40,6 +40,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .core import _frozen_array
 from .errors import (
     DimensionError,
     EmptyEnsemble,
@@ -114,7 +115,7 @@ class WeightDistribution:
     weights: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.array(self.weights, dtype=np.float64)
+        arr = _frozen_array(self.weights, np.float64)
         if arr.ndim != 1 or arr.size == 0:
             raise EmptyWindow("weight distribution needs at least one entry")
         # NaN fails every comparison below, the sum check's included
@@ -127,7 +128,6 @@ class WeightDistribution:
         total = arr.sum()
         if abs(total - 1.0) > _SUM_TOLERANCE:
             raise ValueError(f"weights sum to {total!r}, expected 1")
-        arr.flags.writeable = False
         object.__setattr__(self, "weights", arr)
 
     def __len__(self) -> int:
@@ -419,7 +419,8 @@ class LearnPPModel:
         limit = self.rows_until_flush
         if limit is not None and len(labels) > limit:
             raise ValueError(f"block of {len(labels)} rows is longer than rows_until_flush={limit}")
-        self._blocks.append((features, labels, missed))
+        if len(labels):
+            self._blocks.append((features, labels, missed))
         self._buffered += len(labels)
         if len(labels) == limit:
             self.flush_window()

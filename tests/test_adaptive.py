@@ -98,6 +98,12 @@ class TestReduceChunk:
         np.testing.assert_allclose(reduced[:, :3].std(axis=0), 1.0)
         assert (reduced[:, 3:] == 0.0).all()
 
+    def test_rank_deficient_chunk_is_one_projection_and_one_standardization(self, rng):
+        rows = rng.normal(size=(200, 3)) @ rng.normal(size=(3, 8))
+        chunk = Chunk("x", rows, rng.integers(0, 2, 200))
+        want = standardize_chunk(pca_transform(pca_fit(chunk, 6), chunk))
+        assert reduce_chunk(chunk, 6).features.tobytes() == want.features.tobytes()
+
     @pytest.mark.parametrize("smallest", [1.0, 1e-5], ids=["even", "small-but-real"])
     def test_full_rank_chunk_comes_out_bit_for_bit(self, rng, smallest):
         # a sixth component of small real variance (a ratio near 1e-11, far
@@ -105,7 +111,7 @@ class TestReduceChunk:
         rows = rng.normal(size=(300, 8)) * np.repeat([1.0, smallest], [5, 3])
         chunk = Chunk("x", rows, rng.integers(0, 2, 300))
         assert pca_fit(chunk, 6).explained_variance_ratio[5] > 1e-12
-        want = standardize_chunk(pca_transform(pca_fit(chunk, 6), chunk, 6))
+        want = standardize_chunk(pca_transform(pca_fit(chunk, 6), chunk))
         got = reduce_chunk(chunk, 6)
         assert got.features.tobytes() == want.features.tobytes()
         np.testing.assert_allclose(got.features.std(axis=0), 1.0)

@@ -9,6 +9,38 @@ from driftpp.core import (
     validate_chunk,
 )
 from driftpp.errors import DimensionError
+from driftpp.knn import KnnConfig, knn_fit
+from driftpp.learnpp import WeightDistribution
+from driftpp.pca import pca_fit
+
+
+def _frozen_arrays():
+    chunk = Chunk("c", [[0.0, 1.0], [2.0, 5.0], [3.0, 1.0]], [0, 1, 0])
+    records = Records("c", [0, 1], [1, 1], [0.25, 0.75])
+    model = knn_fit(KnnConfig(), chunk.features, chunk.labels)
+    basis = pca_fit(chunk, 2)
+    return {
+        "Chunk.features": chunk.features,
+        "Chunk.labels": chunk.labels,
+        "Records.truth": records.truth,
+        "Records.predicted": records.predicted,
+        "Records.score": records.score,
+        "KnnModel.features": model.features,
+        "KnnModel.labels": model.labels,
+        "WeightDistribution.weights": WeightDistribution([0.5, 0.5]).weights,
+        "PcaModel.mean": basis.mean,
+        "PcaModel.components": basis.components,
+        "PcaModel.explained_variance_ratio": basis.explained_variance_ratio,
+    }
+
+
+@pytest.mark.parametrize("name", list(_frozen_arrays()))
+def test_read_only_arrays_cannot_be_unlocked(name):
+    array = _frozen_arrays()[name]
+    with pytest.raises(ValueError):
+        array.flags.writeable = True
+    with pytest.raises(ValueError):
+        array.flat[0] = 1
 
 
 class TestPredictionRecord:

@@ -630,6 +630,19 @@ class TestModel:
         assert refused.windows_completed == 1
         assert self.state(refused) == self.state(clean)
 
+    def test_zero_row_block_buffers_nothing(self, rng):
+        # an empty block leaves no trace, so it fixes no buffered width
+        config = LearnPPConfig(window_size=None, knn=KnnConfig(k=1), seed=0)
+        model, clean = LearnPPModel(config), LearnPPModel(config)
+        model.partial_fit(np.empty((0, 5)), [], [])
+        assert model.buffer_size == 0
+        features, labels = two_cluster_window(6, 4, rng)
+        for fresh in (model, clean):
+            fresh.partial_fit(features, labels, np.ones(6, dtype=bool))
+            fresh.flush_window()
+        assert model.windows_completed == 1
+        assert self.state(model) == self.state(clean)
+
     def test_block_narrower_than_the_ensemble_raises_and_changes_nothing(self, rng):
         # an empty buffer, so only the ensemble's models fix the width
         model = LearnPPModel(LearnPPConfig(window_size=None, knn=KnnConfig(k=1), seed=0))

@@ -86,6 +86,15 @@ class TestFit:
         large = pca_fit(chunk, 5)
         np.testing.assert_allclose(small.components, large.components[:3], atol=1e-10)
 
+    def test_components_within_rounding_of_zero_are_zero_rows(self, rng):
+        # rank-3 rows in 8 dimensions at 6 components: rows 3-5 are noise
+        rows = rng.normal(size=(200, 3)) @ rng.normal(size=(3, 8))
+        basis = pca_fit(Chunk("x", rows, np.zeros(200, int)), 6)
+        assert basis.components.shape == (6, 8)
+        assert (basis.components[3:] == 0.0).all()
+        kept = basis.components[:3]
+        np.testing.assert_allclose(kept @ kept.T, np.eye(3), atol=1e-10)
+
     def test_single_row_raises(self):
         with pytest.raises(DegenerateData):
             pca_fit(Chunk("x", [[1.0, 2.0]], [0]), 1)
@@ -107,7 +116,7 @@ class TestTransform:
         rows = rng.normal(size=(40, 6)) @ rng.normal(size=(6, 6))
         chunk = Chunk("x", rows, np.zeros(40, int))
         basis = pca_fit(chunk, 6)
-        reduced = pca_transform(basis, chunk, 6)
+        reduced = pca_transform(basis, chunk)
         restored = reduced.features @ basis.components + basis.mean
         np.testing.assert_allclose(restored, rows, atol=1e-8)
 
@@ -116,7 +125,7 @@ class TestTransform:
         rows = np.column_stack([xs, 2 * xs])
         chunk = Chunk("line", rows, np.zeros(30, int))
         basis = pca_fit(chunk, 1)
-        reduced = pca_transform(basis, chunk, 1)
+        reduced = pca_transform(basis, chunk)
         # pairwise distances survive projection onto the data's own line
         scores = reduced.features[:, 0]
         want = np.abs(xs[:, None] - xs[None, :]) * np.sqrt(5)
@@ -127,25 +136,18 @@ class TestTransform:
         rows = rng.normal(size=(25, 4))
         labels = rng.integers(0, 2, 25)
         chunk = Chunk("keepme", rows, labels)
-        basis = pca_fit(chunk, 4)
-        reduced = pca_transform(basis, chunk, 2)
+        basis = pca_fit(chunk, 2)
+        reduced = pca_transform(basis, chunk)
         assert reduced.id == "keepme"
         np.testing.assert_array_equal(reduced.labels, chunk.labels)
         assert reduced.features.shape == (25, 2)
-
-    def test_k_beyond_basis_raises(self, rng):
-        rows = rng.normal(size=(20, 4))
-        chunk = Chunk("x", rows, np.zeros(20, int))
-        basis = pca_fit(chunk, 3)
-        with pytest.raises(DimensionError):
-            pca_transform(basis, chunk, 4)
 
     def test_dim_mismatch_raises(self, rng):
         rows = rng.normal(size=(20, 4))
         basis = pca_fit(Chunk("x", rows, np.zeros(20, int)), 3)
         other = Chunk("y", rng.normal(size=(5, 6)), np.zeros(5, int))
         with pytest.raises(DimensionError):
-            pca_transform(basis, other, 2)
+            pca_transform(basis, other)
 
 
 class TestTevr:
