@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
@@ -71,11 +72,11 @@ class RunConfig:
     drift_baseline_window: int = 3
 
     def __post_init__(self) -> None:
-        if self.pc_count < 1:
+        if operator.index(self.pc_count) < 1:
             raise ValueError(f"pc_count must be >= 1, got {self.pc_count}")
         if not self.drift_f1_drop > 0.0:
             raise ValueError(f"drift_f1_drop must be positive, got {self.drift_f1_drop}")
-        if self.drift_baseline_window < 1:
+        if operator.index(self.drift_baseline_window) < 1:
             raise ValueError(
                 f"drift_baseline_window must be >= 1, got {self.drift_baseline_window}"
             )
@@ -114,17 +115,23 @@ class UnreadChunk:
 def reduce_chunk(chunk: Chunk, pc_count: int) -> Chunk:
     """Reduce a chunk to ``pc_count`` features and standardize it.
 
-    Chunks wider than ``pc_count`` are projected onto their own top
-    principal components; chunks already at ``pc_count`` skip the
-    projection. Either way the result is standardized per column. A chunk
-    whose rows are all the same raises DegenerateData, whatever its width.
-    A component within rounding of zero comes out as a zero column (see
-    :func:`driftpp.pca.pca_fit`).
+    The one gate between a chunk and PCA: a chunk narrower than
+    ``pc_count`` raises DimensionError, and one with a non-finite feature
+    (the note counts them and names the first, see
+    :func:`driftpp.core.validate_chunk`) or whose rows are all the same,
+    whatever its width, DegenerateData. Chunks wider than ``pc_count`` are
+    projected onto their own top principal components, and every chunk is
+    then standardized per column. A component within rounding of zero
+    comes out as a zero column (see :func:`driftpp.pca.pca_fit`).
     """
     if chunk.dimensionality < pc_count:
         raise DimensionError(
             f"chunk {chunk.id} has {chunk.dimensionality} features, need at least {pc_count}"
         )
+    violations = validate_chunk(chunk)
+    if violations:
+        index, reason = violations[0]
+        raise DegenerateData(f"{len(violations)} non-finite instances, first {index}: {reason}")
     if (chunk.features == chunk.features[:1]).all():
         raise DegenerateData("every row of the chunk is the same, so it has no variance")
     if chunk.dimensionality > pc_count:
@@ -156,10 +163,10 @@ def chunk_report(
     """Summarize one chunk's records, a :class:`Records` block or any
     sequence of :class:`PredictionRecord`. ``history`` holds the reports of
     the preceding chunks, whose F1 values form the drift-alarm baseline; AUC
-    is NaN when the records hold fewer than two classes."""
+    is NaN when the records hold fewer than two classes, or none."""
     counts = confusion(records)
     try:
-        auc_value = auc(records) if records else math.nan
+        auc_value = auc(records)
     except UndefinedAUC:
         auc_value = math.nan
     f1_value = f1(counts)
@@ -180,46 +187,25 @@ def chunk_report(
     )
 
 
-def _reduce_valid(chunk: Chunk, pc_count: int) -> Chunk | str:
-    """The chunk through :func:`reduce_chunk`, or a note saying why it fails
-    validation (its violation count and the first one) or cannot be
-    reduced."""
-    violations = validate_chunk(chunk)
-    if violations:
-        index, reason = violations[0]
-        return (
-            f"chunk {chunk.id} is invalid ({len(violations)} violations; "
-            f"first at instance {index}: {reason})"
-        )
-    try:
-        return reduce_chunk(chunk, pc_count)
-    except (DimensionError, DegenerateData) as exc:
-        return f"chunk {chunk.id} cannot be reduced: {exc}"
-
-
 def pretrain(initial: Chunk, config: RunConfig) -> tuple[LearnPPModel, ChunkReport, Records]:
     """Train the starting ensemble on the initial chunk.
 
     Runs one full-window round under uniform weights, then scores the
     trained ensemble on the same chunk to produce the initial-classifier
-    report (training-set metrics, never alarmed). Raises PretrainFailed,
-    naming the chunk, when it is empty, single-class, invalid or cannot be
-    reduced, or when the round fails.
+    report (training-set metrics, never alarmed). Raises PretrainFailed
+    when the chunk is empty or :func:`reduce_chunk` refuses it, naming the
+    chunk, or when :meth:`LearnPPModel.fit_initial` refuses it or fails.
     """
     if len(initial) == 0:
         raise PretrainFailed(f"initial chunk {initial.id} is empty")
-    present = set(initial.labels.tolist())
-    if len(present) < 2:
-        raise PretrainFailed(
-            f"initial chunk {initial.id} holds only class {present.pop()}"
-        )
-    reduced = _reduce_valid(initial, config.pc_count)
-    if isinstance(reduced, str):
-        raise PretrainFailed(f"initial {reduced}")
+    try:
+        reduced = reduce_chunk(initial, config.pc_count)
+    except (DimensionError, DegenerateData) as exc:
+        raise PretrainFailed(f"initial chunk {initial.id} cannot be reduced: {exc}") from exc
     model = LearnPPModel(config.learnpp)
     try:
         model.fit_initial(reduced.features, reduced.labels)
-    except RoundFailed as exc:
+    except (DegenerateData, RoundFailed) as exc:
         raise PretrainFailed(f"initial training round failed: {exc}") from exc
     predicted, scores = model.predict(reduced.features)
     records = Records(initial.id, reduced.labels, predicted, scores)
@@ -246,21 +232,25 @@ def process_chunk(
 
     A failed training round drops its window and the chunk goes on, so
     every instance is recorded; the report carries the first failure note
-    of the chunk. A chunk that fails validation or cannot be reduced, or an
+    of the chunk. A non-empty chunk that :func:`reduce_chunk` refuses, or an
     :class:`UnreadChunk`, yields a report with the error set and no
     records, and leaves the model untouched.
     """
     if not model.hypotheses:
         raise EmptyEnsemble("model has no hypotheses; pretrain before processing chunks")
+    note = None
     if isinstance(chunk, UnreadChunk):
-        reduced = f"chunk {chunk.id} cannot be read: {chunk.reason}"
-    else:
-        reduced = _reduce_valid(chunk, config.pc_count) if len(chunk) else chunk
-    if isinstance(reduced, str):
-        logger.error("%s", reduced)
+        note = f"chunk {chunk.id} cannot be read: {chunk.reason}"
+    elif len(chunk):
+        try:
+            chunk = reduce_chunk(chunk, config.pc_count)
+        except (DimensionError, DegenerateData) as exc:
+            note = f"chunk {chunk.id} cannot be reduced: {exc}"
+    if note is not None:
+        logger.error("%s", note)
         records = Records(chunk.id, [], [], [])
-        return chunk_report(chunk.id, records, history, config, error=reduced), records
-    features, labels = reduced.features, reduced.labels
+        return chunk_report(chunk.id, records, history, config, error=note), records
+    features, labels = chunk.features, chunk.labels
     predicted = np.empty(len(labels), dtype=np.int64)
     scores = np.empty(len(labels))
     error_note: str | None = None

@@ -30,17 +30,25 @@ def _frozen_array(values, dtype) -> np.ndarray:
     return arr.view()
 
 
+def _frozen_labels(labels) -> np.ndarray:
+    """A read-only int64 copy of ``labels``; ValueError unless each is 0 or 1."""
+    labels = np.asarray(labels)
+    if not np.all((labels == 0) | (labels == 1)):
+        raise ValueError("labels must be 0 or 1")
+    return _frozen_array(labels, np.int64)
+
+
 @dataclass(frozen=True, eq=False)
 class Chunk:
     """An ordered batch of instances sharing one dimensionality.
 
     ``features`` is an (n, d) float64 array and ``labels`` an (n,) int64
     array of 0/1; both are read-only copies of the inputs, and row i of each
-    is the instance at arrival position i. Non-finite features are reported
-    by :func:`validate_chunk` as data rather than raised here, so that
-    :func:`driftpp.adaptive.process_chunk` can turn an invalid chunk, built
-    in memory or read by :func:`driftpp.data.read_chunk_csv`, into an error
-    report and the run goes on.
+    is the instance at arrival position i. Non-finite features are data
+    here: :func:`driftpp.adaptive.reduce_chunk` refuses such a chunk, built
+    in memory or read by :func:`driftpp.data.read_chunk_csv`, and
+    :func:`driftpp.adaptive.process_chunk` turns that into an error report
+    and the run goes on.
     """
 
     id: str
@@ -49,15 +57,13 @@ class Chunk:
 
     def __post_init__(self) -> None:
         features = _frozen_array(self.features, np.float64)
-        labels = np.asarray(self.labels)
+        labels = _frozen_labels(self.labels)
         if features.ndim != 2:
             raise DimensionError(f"expected a 2-D feature array, got shape {features.shape}")
         if labels.shape != features.shape[:1]:
             raise DimensionError(f"{features.shape[0]} feature rows but labels of shape {labels.shape}")
-        if not np.all((labels == 0) | (labels == 1)):
-            raise ValueError("labels must be 0 or 1")
         object.__setattr__(self, "features", features)
-        object.__setattr__(self, "labels", _frozen_array(labels, np.int64))
+        object.__setattr__(self, "labels", labels)
 
     def __len__(self) -> int:
         return self.labels.size

@@ -25,6 +25,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -62,11 +63,11 @@ class DriftSpec:
     def __post_init__(self) -> None:
         if self.kind not in DRIFT_KINDS:
             raise ValueError(f"drift kind must be one of {DRIFT_KINDS}, got {self.kind!r}")
-        if self.at_chunk < 1:
+        if operator.index(self.at_chunk) < 1:
             raise ValueError(f"at_chunk must be >= 1, got {self.at_chunk}")
         if not 0.0 < self.magnitude <= 1.0:
             raise ValueError(f"magnitude must lie in (0, 1], got {self.magnitude}")
-        if self.gradual_span < 1:
+        if operator.index(self.gradual_span) < 1:
             raise ValueError(f"gradual_span must be >= 1, got {self.gradual_span}")
 
 
@@ -81,17 +82,17 @@ class StreamSpec:
     drift: DriftSpec = field(default_factory=DriftSpec)
 
     def __post_init__(self) -> None:
-        if self.n_chunks < 1:
+        if operator.index(self.n_chunks) < 1:
             raise ValueError(f"n_chunks must be >= 1, got {self.n_chunks}")
-        if self.chunk_size < 0:
+        if operator.index(self.chunk_size) < 0:
             raise ValueError(f"chunk_size must be >= 0, got {self.chunk_size}")
-        if self.dimensionality < 2:
+        if operator.index(self.dimensionality) < 2:
             raise ValueError(f"dimensionality must be >= 2, got {self.dimensionality}")
         if not 0.0 < self.class_balance < 1.0:
             raise ValueError(f"class_balance must lie in (0, 1), got {self.class_balance}")
         if not 0.0 <= self.noise < 1.0:
             raise ValueError(f"noise must lie in [0, 1), got {self.noise}")
-        if self.seed < 0:
+        if operator.index(self.seed) < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
@@ -130,15 +131,14 @@ def read_chunk_csv(path) -> Chunk:
                 # a file with no data rows is an empty chunk
                 warnings.simplefilter("ignore", UserWarning)
                 table = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"', ndmin=2)
+        if not len(table):
+            table = np.empty((0, width))
+        if table.shape[1] != width:
+            raise ChunkFormatError(f"its rows are not {width} columns")
+        return Chunk(path.stem, table[:, :-1], table[:, -1])
     except (ValueError, ChunkFormatError) as exc:
-        # a UnicodeDecodeError is a ValueError; the whole-file read names it
+        # undecodable text or a label outside {0, 1} is a ValueError; _bad_row names it
         raise _bad_row(path, str(exc)) from None
-    if not len(table):
-        table = np.empty((0, width))
-    labels = table[:, -1]
-    if table.shape[1] != width or not ((labels == 0.0) | (labels == 1.0)).all():
-        raise _bad_row(path, f"its rows are not {width} columns ending in a 0 or 1 label")
-    return Chunk(path.stem, table[:, :-1], labels)
 
 
 def _read_header(reader, path: Path) -> int:

@@ -27,7 +27,8 @@ class RoundFailed(DriftppError):
 
 
 class DegenerateData(DriftppError):
-    """Input data carries no usable variance for the requested operation."""
+    """Input data the requested operation cannot use: a chunk with a
+    non-finite feature or no variance, or a window of a single class."""
 
 
 class PretrainFailed(DriftppError):

@@ -35,13 +35,15 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .core import _frozen_array
+from .core import _frozen_array, _frozen_labels
 from .errors import (
+    DegenerateData,
     DimensionError,
     EmptyEnsemble,
     EmptyWindow,
@@ -92,19 +94,19 @@ class LearnPPConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n_estimators < 1:
+        if operator.index(self.n_estimators) < 1:
             raise ValueError(f"n_estimators must be >= 1, got {self.n_estimators}")
-        if self.window_size is not None and self.window_size < 1:
+        if self.window_size is not None and operator.index(self.window_size) < 1:
             raise ValueError(f"window_size must be >= 1, got {self.window_size}")
         if not 0.0 < self.error_threshold <= 0.5:
             raise ValueError(f"error_threshold must lie in (0, 0.5], got {self.error_threshold}")
-        if self.max_retries < 1:
+        if operator.index(self.max_retries) < 1:
             raise ValueError(f"max_retries must be >= 1, got {self.max_retries}")
-        if self.max_window_ensembles is not None and self.max_window_ensembles < 1:
+        if self.max_window_ensembles is not None and operator.index(self.max_window_ensembles) < 1:
             raise ValueError(
                 f"max_window_ensembles must be >= 1, got {self.max_window_ensembles}"
             )
-        if self.seed < 0:
+        if operator.index(self.seed) < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
@@ -264,24 +266,25 @@ def run_round(
     labels and return the accepted hypotheses plus the final weight
     distribution.
 
-    The caller should hand in a window containing both classes; features,
-    labels and ``d0`` of another length raise DimensionError before anything
-    is drawn. Prior retained hypotheses participate in every composite
-    evaluation: they vote once, through the committee vote that prediction
-    uses, and each acceptance adds its own vote mass. Each candidate is fit
-    on the distinct instances of a weight-proportional draw (duplicates
-    dropped, so no instance counts twice among its neighbors) and judged on
-    the whole window by :func:`weighted_error`; its beta is
-    :func:`normalize_error`, the floor for a perfect candidate. After each
-    acceptance, the composite error E of all hypotheses (prior and new)
-    drives the weight update; E of zero stops the round, and E at or above
-    one half leaves the weights untouched for that step.
+    The caller should hand in a window containing both classes. A label
+    other than 0 or 1 raises ValueError, and features, labels and ``d0`` of
+    another length DimensionError, before anything is drawn. Prior retained
+    hypotheses participate in every composite evaluation: they vote once,
+    through the committee vote that prediction uses, and each acceptance
+    adds its own vote mass. Each candidate is fit on the distinct instances
+    of a weight-proportional draw (duplicates dropped, so no instance counts
+    twice among its neighbors) and judged on the whole window by
+    :func:`weighted_error`; its beta is :func:`normalize_error`, the floor
+    for a perfect candidate. After each acceptance, the composite error E of
+    all hypotheses (prior and new) drives the weight update; E of zero stops
+    the round, and E at or above one half leaves the weights untouched for
+    that step.
 
     ``max_retries`` consecutive rejected candidates end the round with the
     hypotheses it accepted, or raise RoundFailed when it accepted none.
     """
     features = np.asarray(features, dtype=np.float64)
-    labels = np.asarray(labels)
+    labels = _frozen_labels(labels)
     n = len(labels)
     if n == 0:
         raise EmptyWindow("cannot run a training round on an empty window")
@@ -378,33 +381,33 @@ class LearnPPModel:
 
     def fit_initial(self, features, labels) -> None:
         """Train one full round on a window of (n, d) features and (n,)
-        labels under uniform weights.
-
-        Used to bootstrap the ensemble before online updates begin. The
-        pending buffer is untouched.
+        labels under uniform weights, to bootstrap the ensemble; the pending
+        buffer is untouched. A label other than 0 or 1 raises ValueError,
+        and a window of one class DegenerateData, either leaving the model
+        as it was.
         """
-        self._train(features, labels, init_weights(len(labels)))
+        self._train(features, _frozen_labels(labels), init_weights(len(labels)))
 
     def partial_fit(self, features, labels, was_correct) -> "LearnPPModel":
         """Buffer copies of an (n, d) block of observed feature rows, their
         (n,) labels and whether the ensemble classified each correctly at
         arrival.
 
-        The block may hold at most :attr:`rows_until_flush` rows (ValueError
-        otherwise), so a round can only fire on its last row, and must be as
-        wide as the buffered rows and the ensemble's models (DimensionError
-        otherwise); either error leaves the model unchanged. When the buffer
-        reaches the configured window size, it becomes a training window:
-        instances misclassified at arrival get double initial weight, one
-        round runs, the new hypotheses join the ensemble, and the buffer
-        clears. With ``window_size=None`` the buffer only converts when the
-        caller invokes :meth:`flush_window`.
+        A label outside {0, 1}, or a block longer than
+        :attr:`rows_until_flush` (so a round can only fire on its last row),
+        raises ValueError, and a block narrower or wider than the buffered
+        rows and the ensemble's models DimensionError; none of these errors
+        changes the model. When the buffer reaches the configured window size,
+        it becomes a training window: instances misclassified at arrival get
+        double initial weight, one round runs, the new hypotheses join the
+        ensemble, and the buffer clears. With ``window_size=None`` the buffer
+        only converts when the caller invokes :meth:`flush_window`.
 
         If the round fails, RoundFailed propagates and the window is gone
         all the same (see :meth:`flush_window`).
         """
         features = np.array(features, dtype=np.float64)
-        labels = np.array(labels, dtype=np.int64)
+        labels = _frozen_labels(labels)
         missed = ~np.asarray(was_correct, dtype=bool)
         if features.ndim != 2 or labels.shape != features.shape[:1] or missed.shape != labels.shape:
             shapes = f"{features.shape}, {labels.shape} and {missed.shape}"
@@ -430,27 +433,26 @@ class LearnPPModel:
         """Turn the pending buffer into a training window and run one round.
 
         The window leaves the buffer whatever the round does: it trains, it
-        holds a single class and is dropped with a warning, or the round
-        fails and RoundFailed propagates with the ensemble and
-        ``windows_completed`` unchanged. No rows are kept for a retry.
-        No-op on an empty buffer.
+        holds a single class and is dropped with a warning but counted in
+        ``windows_completed``, or the round fails and RoundFailed propagates
+        with the ensemble and ``windows_completed`` unchanged. No rows are
+        kept for a retry. No-op on an empty buffer.
         """
         if not self.buffer_size:
             return
         features, labels, missed = (np.concatenate(column) for column in zip(*self._blocks))
         self._blocks, self._buffered = [], 0
-        if labels.min() == labels.max():
-            logger.warning(
-                "window %d holds only class %d; dropping %d buffered instances",
-                self.windows_completed, labels[0], len(labels),
-            )
+        try:
+            self._train(features, labels, WeightDistribution.normalized(np.where(missed, 2.0, 1.0)))
+        except DegenerateData as exc:
+            logger.warning("%s; dropping %d buffered instances", exc, len(labels))
             self.windows_completed += 1
-            return
-        d0 = WeightDistribution.normalized(np.where(missed, 2.0, 1.0))
-        self._train(features, labels, d0)
 
     def _train(self, features, labels, d0: WeightDistribution) -> None:
-        """Run one round on a window and add its hypotheses to the ensemble."""
+        """Train a window's round into the ensemble; DegenerateData, with
+        nothing changed, for a window of one class."""
+        if labels.min() == labels.max():
+            raise DegenerateData(f"window {self.windows_completed} holds only class {labels[0]}")
         new_hypotheses, _ = run_round(
             features, labels, d0, self.config, self._rng,
             prior=self.hypotheses, window_ordinal=self.windows_completed,

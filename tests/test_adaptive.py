@@ -15,7 +15,7 @@ from driftpp.adaptive import (
     run_experiment,
 )
 from driftpp.core import Chunk, PredictionRecord, standardize_chunk
-from driftpp.data import StreamSpec, generate_stream
+from driftpp.data import DriftSpec, StreamSpec, generate_stream
 from driftpp.errors import (
     DegenerateData,
     DimensionError,
@@ -23,6 +23,7 @@ from driftpp.errors import (
     PretrainFailed,
     RoundFailed,
 )
+from driftpp.knn import KnnConfig
 from driftpp.learnpp import LearnPPConfig, LearnPPModel
 from driftpp.pca import pca_fit, pca_transform
 
@@ -87,6 +88,16 @@ class TestReduceChunk:
         chunk = Chunk("x", np.full(shape, value), np.arange(shape[0]) % 2)
         with pytest.raises(DegenerateData, match="no variance"):
             reduce_chunk(chunk, 10)
+
+    @pytest.mark.parametrize("value, pc_count", [(np.nan, 3), (np.inf, 5)], ids=["nan", "inf"])
+    def test_non_finite_chunk_raises_naming_the_violation_count(self, rng, value, pc_count):
+        # refused before PCA: the eigensolver cannot take a NaN, and an inf
+        # turns into NaN columns
+        rows = rng.normal(size=(60, 6))
+        rows[[4, 9, 30], [2, 0, 5]] = value
+        chunk = Chunk("x", rows, rng.integers(0, 2, 60))
+        with pytest.raises(DegenerateData, match="^3 non-finite instances, first 4: "):
+            reduce_chunk(chunk, pc_count)
 
     def test_components_within_rounding_of_zero_become_zero_columns(self, rng):
         # rank-3 rows in 8 dimensions reduced to 6 components: the last three
@@ -507,6 +518,35 @@ class TestRunExperiment:
         assert list(by_chunk) == ["chunk_000", "chunk_001", "chunk_002"]
         for report in reports:
             assert report.evaluated_count == len(by_chunk[report.chunk_id])
+
+    @pytest.mark.parametrize(
+        "cls, name",
+        [
+            (LearnPPConfig, "n_estimators"),
+            (LearnPPConfig, "window_size"),
+            (LearnPPConfig, "max_retries"),
+            (LearnPPConfig, "max_window_ensembles"),
+            (LearnPPConfig, "seed"),
+            (KnnConfig, "k"),
+            (RunConfig, "pc_count"),
+            (RunConfig, "drift_baseline_window"),
+            (DriftSpec, "at_chunk"),
+            (DriftSpec, "gradual_span"),
+            (StreamSpec, "n_chunks"),
+            (StreamSpec, "chunk_size"),
+            (StreamSpec, "dimensionality"),
+            (StreamSpec, "seed"),
+        ],
+    )
+    def test_integer_config_fields_refuse_non_integers(self, cls, name):
+        # a fractional window size would never flush, and a fractional
+        # estimator count would round up in the round's loop; numpy integers
+        # are integers
+        base = {"n_chunks": 2, "chunk_size": 10, "dimensionality": 2} if cls is StreamSpec else {}
+        assert getattr(cls(**{**base, name: np.int64(3)}), name) == 3
+        for value in (2.5, 3.0, np.float64(3.0)):
+            with pytest.raises(TypeError):
+                cls(**{**base, name: value})
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

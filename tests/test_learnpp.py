@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from driftpp.errors import (
+    DegenerateData,
     DimensionError,
     EmptyEnsemble,
     EmptyWindow,
@@ -363,6 +364,20 @@ class TestRunRound:
         with pytest.raises(EmptyWindow):
             run_round([], [], init_weights(1), LearnPPConfig(), np.random.default_rng(0))
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_label_outside_binary_raises_before_drawing(self, rng, seed):
+        # with one estimator a draw can miss the bad row, so only a check
+        # before the first draw refuses the window on every seed
+        features, labels = two_cluster_window(12, 2, rng)
+        labels = labels.astype(float)
+        labels[5] = 0.7
+        config = LearnPPConfig(n_estimators=1, seed=seed)
+        gen = np.random.default_rng(seed)
+        state = gen.bit_generator.state
+        with pytest.raises(ValueError, match="labels must be 0 or 1"):
+            run_round(features, labels, init_weights(12), config, gen)
+        assert gen.bit_generator.state == state
+
     @pytest.mark.parametrize("short", ["features", "labels", "d0"])
     def test_length_mismatch_raises_before_drawing(self, rng, short):
         features, labels = two_cluster_window(8, 2, rng)
@@ -519,6 +534,19 @@ class TestModel:
         assert model.buffer_size == 0
         assert model.windows_completed == 2
 
+    @pytest.mark.parametrize("trained", [False, True])
+    def test_fit_initial_refuses_a_single_class_window(self, rng, trained):
+        model = LearnPPModel(LearnPPConfig(seed=0))
+        if trained:
+            model.fit_initial(*two_cluster_window(10, 2, rng))
+        before = (list(model.hypotheses), model.windows_completed)
+        with pytest.raises(DegenerateData, match=f"window {before[1]} holds only class 1"):
+            model.fit_initial(rng.normal(size=(10, 2)), np.ones(10, dtype=int))
+        # one value that is not a label is a label error, not a class
+        with pytest.raises(ValueError, match="labels must be 0 or 1"):
+            model.fit_initial(rng.normal(size=(10, 2)), np.full(10, 2))
+        assert (list(model.hypotheses), model.windows_completed) == before
+
     def test_flush_on_empty_buffer_is_noop(self, rng):
         model = LearnPPModel(LearnPPConfig(seed=0))
         model.fit_initial(*two_cluster_window(10, 2, rng))
@@ -629,6 +657,18 @@ class TestModel:
             model.flush_window()
         assert refused.windows_completed == 1
         assert self.state(refused) == self.state(clean)
+
+    @pytest.mark.parametrize("bad", [0.7, 2, -1])
+    def test_label_outside_binary_raises_and_changes_nothing(self, rng, bad):
+        # checked before buffering: cast to int64, a 0.7 would read as class 0
+        model = LearnPPModel(LearnPPConfig(window_size=None, knn=KnnConfig(k=1), seed=0))
+        model.fit_initial(*two_cluster_window(8, 2, rng))
+        features, labels = two_cluster_window(4, 2, rng)
+        model.partial_fit(features[:2], labels[:2], [True, True])
+        before = self.state(model)
+        with pytest.raises(ValueError, match="labels must be 0 or 1"):
+            model.partial_fit(features[2:], [labels[2], bad], [True, True])
+        assert self.state(model) == before
 
     def test_zero_row_block_buffers_nothing(self, rng):
         # an empty block leaves no trace, so it fixes no buffered width
