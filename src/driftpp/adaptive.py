@@ -26,7 +26,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .core import Chunk, PredictionRecord, Records, validate_chunk, standardize_chunk
+from .core import Chunk, PredictionRecord, Records, standardize_chunk
 from .errors import (
     DegenerateData,
     DimensionError,
@@ -117,21 +117,26 @@ def reduce_chunk(chunk: Chunk, pc_count: int) -> Chunk:
 
     The one gate between a chunk and PCA: a chunk narrower than
     ``pc_count`` raises DimensionError, and one with a non-finite feature
-    (the note counts them and names the first, see
-    :func:`driftpp.core.validate_chunk`) or whose rows are all the same,
-    whatever its width, DegenerateData. Chunks wider than ``pc_count`` are
-    projected onto their own top principal components, and every chunk is
-    then standardized per column. A component within rounding of zero
-    comes out as a zero column (see :func:`driftpp.pca.pca_fit`).
+    or whose rows are all the same, whatever its width, DegenerateData
+    (the non-finite note counts the rows holding one and names the first
+    such row's lowest non-finite column, NaN or not). Chunks wider than
+    ``pc_count`` are projected onto their own top principal components,
+    and every chunk is then standardized per column. A component within
+    rounding of zero comes out as a zero column (see
+    :func:`driftpp.pca.pca_fit`).
     """
     if chunk.dimensionality < pc_count:
         raise DimensionError(
             f"chunk {chunk.id} has {chunk.dimensionality} features, need at least {pc_count}"
         )
-    violations = validate_chunk(chunk)
-    if violations:
-        index, reason = violations[0]
-        raise DegenerateData(f"{len(violations)} non-finite instances, first {index}: {reason}")
+    finite = np.isfinite(chunk.features)
+    if not finite.all():
+        bad = ~finite.all(axis=1)
+        row = int(bad.argmax())
+        col = int(finite[row].argmin())
+        kind = "NaN" if np.isnan(chunk.features[row, col]) else "non-finite"
+        count = np.count_nonzero(bad)
+        raise DegenerateData(f"{count} non-finite instances, first {row}: {kind} feature at column {col}")
     if (chunk.features == chunk.features[:1]).all():
         raise DegenerateData("every row of the chunk is the same, so it has no variance")
     if chunk.dimensionality > pc_count:

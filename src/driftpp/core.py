@@ -5,10 +5,8 @@ columnar: an (n, d) float64 feature matrix and an (n,) int64 label vector,
 and an instance is a row of both, its index the row position. Everything
 downstream (PCA, weak learners, ensemble rounds, the evaluation harness)
 passes these arrays along, and a chunk's predictions come back the same
-way, as one :class:`Records` block of columns. :func:`validate_chunk`
-reports non-finite features as (index, reason) pairs rather than raising.
-All types here are immutable after construction and safe to share between
-threads.
+way, as one :class:`Records` block of columns. All types here are
+immutable after construction and safe to share between threads.
 """
 from __future__ import annotations
 
@@ -19,7 +17,7 @@ import numpy as np
 
 from .errors import DimensionError
 
-__all__ = ["Chunk", "PredictionRecord", "Records", "validate_chunk", "standardize_chunk"]
+__all__ = ["Chunk", "PredictionRecord", "Records", "standardize_chunk"]
 
 
 def _frozen_array(values, dtype) -> np.ndarray:
@@ -174,19 +172,6 @@ class Records(Sequence):
             f"Records(chunk_id={self.chunk_id!r}, truth={self.truth.tolist()}, "
             f"predicted={self.predicted.tolist()}, score={self.score.tolist()})"
         )
-
-
-def validate_chunk(chunk: Chunk) -> tuple[tuple[int, str], ...]:
-    """Report every instance with a non-finite feature as an (index, reason)
-    pair naming its first non-finite column (NaN reported distinctly), as
-    data; an empty tuple means the chunk is valid."""
-    finite = np.isfinite(chunk.features)
-    violations = []
-    for pos in np.flatnonzero(~finite.all(axis=1)).tolist():
-        col = int(np.argmin(finite[pos]))
-        kind = "NaN" if np.isnan(chunk.features[pos, col]) else "non-finite"
-        violations.append((pos, f"{kind} feature at column {col}"))
-    return tuple(violations)
 
 
 def standardize_chunk(chunk: Chunk) -> Chunk:

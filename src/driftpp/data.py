@@ -9,7 +9,7 @@ copy of the text is held; a file it refuses, or whose widths or labels are
 wrong, is read again whole and walked row by row only to name its bad row
 or its encoding error. The reader checks format only: ``nan``, ``inf`` and
 ``-inf`` cells are read as data, and the pipeline judges them
-(:func:`driftpp.core.validate_chunk`). Floats are written in shortest
+(:func:`driftpp.adaptive.reduce_chunk`). Floats are written in shortest
 round-trip form, so a write then a read is exact.
 
 The generator draws two Gaussian clusters on opposite sides of a linear

@@ -3,6 +3,7 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from driftpp.adaptive import (
     ChunkReport,
@@ -26,6 +27,25 @@ from driftpp.errors import (
 from driftpp.knn import KnnConfig
 from driftpp.learnpp import LearnPPConfig, LearnPPModel
 from driftpp.pca import pca_fit, pca_transform
+
+
+def non_finite_oracle(features):
+    """One (index, reason) pair per row holding a non-finite feature, naming
+    its first non-finite column, NaN told apart: the per-row report whose
+    count and first entry make reduce_chunk's refusal."""
+    finite = np.isfinite(features)
+    violations = []
+    for pos in np.flatnonzero(~finite.all(axis=1)).tolist():
+        col = int(np.argmin(finite[pos]))
+        kind = "NaN" if np.isnan(features[pos, col]) else "non-finite"
+        violations.append((pos, f"{kind} feature at column {col}"))
+    return violations
+
+
+def refusal(chunk, pc_count):
+    with pytest.raises(DegenerateData) as info:
+        reduce_chunk(chunk, pc_count)
+    return str(info.value)
 
 
 def cluster_chunk(chunk_id, n, seed, d=4, gap=6.0, flip=False):
@@ -98,6 +118,45 @@ class TestReduceChunk:
         chunk = Chunk("x", rows, rng.integers(0, 2, 60))
         with pytest.raises(DegenerateData, match="^3 non-finite instances, first 4: "):
             reduce_chunk(chunk, pc_count)
+
+    @pytest.mark.parametrize(
+        "value, other, kind",
+        [(np.nan, np.inf, "NaN"), (np.inf, np.nan, "non-finite"), (-np.inf, np.nan, "non-finite")],
+        ids=["nan", "inf", "-inf"],
+    )
+    def test_each_kind_named_at_its_lowest_bad_column(self, rng, value, other, kind):
+        rows = rng.normal(size=(8, 5))
+        rows[2, [1, 3]] = value, other
+        chunk = Chunk("x", rows, rng.integers(0, 2, 8))
+        assert refusal(chunk, 3) == f"1 non-finite instances, first 2: {kind} feature at column 1"
+
+    def test_row_with_several_non_finite_cells_counts_once(self):
+        rows = [[0.0, 0.0, 0.0], [1.0, -np.inf, np.nan], [np.nan, np.inf, 0.0], [2.0, 1.0, 5.0]]
+        chunk = Chunk("x", rows, [0, 1, 0, 1])
+        assert refusal(chunk, 2) == "2 non-finite instances, first 1: non-finite feature at column 1"
+
+    def test_all_nan_chunk_is_refused_in_one_note(self):
+        chunk = Chunk("x", np.full((700, 20), np.nan), np.arange(700) % 2)
+        assert refusal(chunk, 10) == "700 non-finite instances, first 0: NaN feature at column 0"
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_refusal_is_the_oracles_count_and_first_violation(self, data):
+        d = data.draw(st.integers(1, 7))
+        finite = st.integers(-3, 3).map(float)
+        cell = st.one_of(finite, st.sampled_from([np.nan, np.inf, -np.inf]))
+        row = st.lists(finite, min_size=d, max_size=d) | st.lists(cell, min_size=d, max_size=d)
+        rows = np.array(data.draw(st.lists(row, min_size=1, max_size=40)), dtype=float)
+        chunk = Chunk("x", rows, np.arange(len(rows)) % 2)
+        violations = non_finite_oracle(rows)
+        if violations:
+            index, reason = violations[0]
+            assert refusal(chunk, d) == f"{len(violations)} non-finite instances, first {index}: {reason}"
+        else:
+            try:
+                reduce_chunk(chunk, d)
+            except DegenerateData as exc:
+                assert "no variance" in str(exc)
 
     def test_components_within_rounding_of_zero_become_zero_columns(self, rng):
         # rank-3 rows in 8 dimensions reduced to 6 components: the last three

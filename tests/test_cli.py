@@ -389,6 +389,37 @@ class TestRun:
         assert (reports[2].error is not None) == (kind != "single_class")
         assert all(r.error in caplog.text for r in reports if r.error)
 
+    def test_non_finite_chunk_files_log_their_exact_notes(self, tmp_path):
+        # in a fresh interpreter, so stderr is the CLI's own log output: a
+        # NaN file and an inf file are each refused in one note, byte for
+        # byte, with an error row in reports.csv and no records
+        initial, *chunks = generate_stream(StreamSpec(n_chunks=5, chunk_size=200, dimensionality=6, seed=3))
+        for i, (cells, value) in enumerate([(([4], [1]), np.nan), (([7, 9], [3, 0]), np.inf)], start=1):
+            rows = chunks[i].features.copy()
+            rows[cells] = value
+            chunks[i] = Chunk(chunks[i].id, rows, chunks[i].labels)
+        stream = tmp_path / "stream"
+        stream.mkdir()
+        for chunk in [initial, *chunks]:
+            write_chunk_csv(chunk, stream / f"{chunk.id}.csv")
+        out = tmp_path / "results"
+        argv = ["run", "--config", str(run_config_for(tmp_path, stream, pc_count=3)), "--out", str(out)]
+        result = subprocess.run(
+            [sys.executable, "-m", "driftpp.cli", *argv],
+            capture_output=True, text=True, timeout=60, env=child_env(),
+        )
+        assert result.returncode == 0
+        assert result.stderr == (
+            "ERROR driftpp.adaptive: chunk chunk_002 cannot be reduced: "
+            "1 non-finite instances, first 4: NaN feature at column 1\n"
+            "ERROR driftpp.adaptive: chunk chunk_003 cannot be reduced: "
+            "2 non-finite instances, first 7: non-finite feature at column 3\n"
+        )
+        rows = (out / "reports.csv").read_text().splitlines()
+        assert rows[3:5] == ["chunk_002,0.0,nan,0.0,0,0,0.0,false", "chunk_003,0.0,nan,0.0,0,0,0.0,false"]
+        ids = {json.loads(line)["chunk_id"] for line in (out / "records.jsonl").read_text().splitlines()}
+        assert ids == {"chunk_000", "chunk_001", "chunk_004"}
+
     @pytest.mark.parametrize("case", ["missing", "not_utf8", "headerless", "ragged", "bad_cell"])
     def test_refused_adaptive_file_reports_error_and_run_goes_on(self, tmp_path, caplog, case):
         # a chunk file refused mid-run gets an error report with its reason

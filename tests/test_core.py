@@ -6,7 +6,6 @@ from driftpp.core import (
     PredictionRecord,
     Records,
     standardize_chunk,
-    validate_chunk,
 )
 from driftpp.errors import DimensionError
 from driftpp.knn import KnnConfig, knn_fit
@@ -219,29 +218,6 @@ class TestChunk:
         assert chunk.features.shape == (0, 4)
         assert chunk.dimensionality == 4
         assert len(chunk) == 0
-
-
-class TestValidateChunk:
-    def test_consistent_chunk_is_ok(self):
-        chunk = Chunk("c", np.ones((3, 5)), [0, 1, 0])
-        assert validate_chunk(chunk) == ()
-
-    def test_nan_cited_distinctly(self):
-        chunk = Chunk("c", [[1.0, np.nan], [0.0, 0.0]], [0, 1])
-        violations = validate_chunk(chunk)
-        assert any("NaN" in reason for _, reason in violations)
-
-    def test_infinity_reported_as_non_finite(self):
-        chunk = Chunk("c", [[np.inf, 1.0]], [0])
-        violations = validate_chunk(chunk)
-        assert any("non-finite" in reason for _, reason in violations)
-
-    def test_one_violation_per_bad_row_at_its_first_bad_column(self):
-        chunk = Chunk("c", [[0.0, 0.0, 0.0], [1.0, -np.inf, np.nan], [np.nan, np.inf, 0.0]], [0, 1, 0])
-        assert list(validate_chunk(chunk)) == [
-            (1, "non-finite feature at column 1"),
-            (2, "NaN feature at column 0"),
-        ]
 
 
 class TestStandardizeChunk:
