@@ -160,12 +160,10 @@ def _resolve_chunk_paths(raw: str, base: Path) -> list[Path]:
     return paths
 
 
-def _format_value(value) -> str:
+def _format_value(value: float) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return repr(value)
 
 
 def _report_row(report: ChunkReport) -> list[str]:

@@ -29,9 +29,10 @@ def _frozen_array(values, dtype) -> np.ndarray:
 
 
 def _frozen_labels(labels) -> np.ndarray:
-    """A read-only int64 copy of ``labels``; ValueError unless each is 0 or 1."""
+    """A read-only int64 copy of ``labels``; ValueError unless each is 0 or 1
+    and none is complex, as :class:`Records` rules."""
     labels = np.asarray(labels)
-    if not np.all((labels == 0) | (labels == 1)):
+    if labels.dtype.kind == "c" or not np.all((labels == 0) | (labels == 1)):
         raise ValueError("labels must be 0 or 1")
     return _frozen_array(labels, np.int64)
 

@@ -1,8 +1,10 @@
 """Binary classification metrics over prediction records. Class 1 is positive.
 
-Each metric takes a :class:`~driftpp.core.Records` block and reads its
-columns, or any sequence of :class:`~driftpp.core.PredictionRecord`, which
-is turned into columns once.
+:func:`confusion` and :func:`auc` take a :class:`~driftpp.core.Records`
+block and read its columns, or any sequence of
+:class:`~driftpp.core.PredictionRecord`, which is turned into columns once.
+:func:`f1` and :func:`fnr` read the :class:`ConfusionCounts` of one such
+sequence.
 """
 from __future__ import annotations
 
@@ -23,10 +25,6 @@ class ConfusionCounts:
     fp: int
     tn: int
     fn: int
-
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.tn + self.fn
 
 
 def _columns(records: Sequence[PredictionRecord]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -67,8 +65,9 @@ def auc(records: Sequence[PredictionRecord]) -> float:
     """Rank-based AUC of the class-1 scores.
 
     Equals the probability that a random positive outscores a random
-    negative, counting score ties as one half. Computed from midrank sums in
-    O(n log n).
+    negative, counting score ties as one half. Computed in O(n log n) from
+    the positives' rank sum, each score ranked by the midrank of its tie
+    group (scores equal under ``==``, so -0.0 ties with 0.0).
     """
     truth, _, scores = _columns(records)
     n_pos = int(truth.sum())
@@ -77,15 +76,10 @@ def auc(records: Sequence[PredictionRecord]) -> float:
         raise UndefinedAUC(
             f"need both classes, got {n_pos} positives and {n_neg} negatives"
         )
-    order = np.argsort(scores, kind="mergesort")
-    sorted_scores = scores[order]
-    # tie group g spans sorted positions i[g]..j[g]
-    ends = np.flatnonzero(sorted_scores[1:] != sorted_scores[:-1])
-    i = np.append(0, ends + 1)
-    j = np.append(ends, truth.size - 1)
-    ranks = np.empty(truth.size, dtype=np.float64)
-    # midrank of the tie group, 1-based
-    ranks[order] = np.repeat((i + j) / 2.0 + 1.0, j - i + 1)
-    rank_sum = ranks[truth == 1].sum()
+    # tie groups in ascending score order; group g's 1-based midrank is the
+    # mean of the ranks its members share
+    _, group, sizes = np.unique(scores, return_inverse=True, return_counts=True)
+    midranks = np.cumsum(sizes) - (sizes - 1) / 2.0
+    rank_sum = midranks[group[truth == 1]].sum()
     u_statistic = rank_sum - n_pos * (n_pos + 1) / 2.0
     return float(u_statistic / (n_pos * n_neg))

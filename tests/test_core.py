@@ -8,8 +8,8 @@ from driftpp.core import (
     standardize_chunk,
 )
 from driftpp.errors import DimensionError
-from driftpp.knn import KnnConfig, knn_fit
-from driftpp.learnpp import WeightDistribution
+from driftpp.knn import KnnConfig, KnnModel, knn_fit
+from driftpp.learnpp import LearnPPConfig, LearnPPModel, WeightDistribution, init_weights, run_round
 from driftpp.pca import pca_fit
 
 
@@ -40,6 +40,30 @@ def test_read_only_arrays_cannot_be_unlocked(name):
         array.flags.writeable = True
     with pytest.raises(ValueError):
         array.flat[0] = 1
+
+
+def _label_takers():
+    features = np.array([[0.0, 0.0], [4.0, 4.0]])
+    return {
+        "Chunk": lambda labels: Chunk("c", features, labels),
+        "KnnModel": lambda labels: KnnModel(KnnConfig(k=1), features, labels),
+        "LearnPPModel.partial_fit": lambda labels: LearnPPModel(
+            LearnPPConfig(window_size=None)
+        ).partial_fit(features, labels, [True, True]),
+        "run_round": lambda labels: run_round(
+            features, labels, init_weights(2), LearnPPConfig(n_estimators=1), np.random.default_rng(0)
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", list(_label_takers()))
+def test_complex_labels_refused_as_records_refuses_them(name):
+    # a complex column of 0s and 1s would cast to int64 with a ComplexWarning
+    labels = np.array([0j, 1 + 0j])
+    with pytest.raises(ValueError, match="labels must be 0 or 1"):
+        _label_takers()[name](labels)
+    with pytest.raises(ValueError, match="truth holds a value that is not 0 or 1"):
+        Records("c", labels, [0, 1], [0.25, 0.75])
 
 
 class TestPredictionRecord:

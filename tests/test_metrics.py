@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from driftpp.core import Records
 from driftpp.errors import UndefinedAUC
@@ -22,6 +23,24 @@ def quadratic_auc(records):
     return wins / (len(pos) * len(neg))
 
 
+def midrank_oracle(truth, scores):
+    """AUC from an argsort of the scores: each tie group's sorted positions
+    i..j share the midrank (i + j) / 2 + 1, scattered back to the rows."""
+    truth, scores = np.asarray(truth), np.asarray(scores, dtype=np.float64)
+    n_pos = int(truth.sum())
+    n_neg = truth.size - n_pos
+    order = np.argsort(scores, kind="mergesort")
+    sorted_scores = scores[order]
+    ends = np.flatnonzero(sorted_scores[1:] != sorted_scores[:-1])
+    i = np.append(0, ends + 1)
+    j = np.append(ends, truth.size - 1)
+    ranks = np.empty(truth.size, dtype=np.float64)
+    ranks[order] = np.repeat((i + j) / 2.0 + 1.0, j - i + 1)
+    rank_sum = ranks[truth == 1].sum()
+    u_statistic = rank_sum - n_pos * (n_pos + 1) / 2.0
+    return float(u_statistic / (n_pos * n_neg))
+
+
 class TestConfusion:
     def test_one_of_each_cell(self):
         records = make_records(
@@ -31,7 +50,6 @@ class TestConfusion:
         )
         counts = confusion(records)
         assert (counts.tp, counts.fp, counts.tn, counts.fn) == (1, 1, 1, 1)
-        assert counts.total == 4
 
     def test_all_correct(self):
         records = make_records([1, 0, 1], [1, 0, 1], [0.9, 0.1, 0.8])
@@ -40,9 +58,7 @@ class TestConfusion:
 
     def test_empty(self):
         counts = confusion([])
-        assert (counts.tp, counts.fp, counts.tn, counts.fn, counts.total) == (
-            0, 0, 0, 0, 0,
-        )
+        assert (counts.tp, counts.fp, counts.tn, counts.fn) == (0, 0, 0, 0)
 
     def test_matches_loop_oracle(self, rng):
         truths, predictions = rng.integers(0, 2, 200), rng.integers(0, 2, 200)
@@ -101,6 +117,26 @@ class TestAuc:
     def test_all_scores_tied(self):
         records = make_records([1, 0, 1, 0], [0, 0, 0, 0], [0.5] * 4)
         assert auc(records) == pytest.approx(0.5)
+
+    def test_negative_zero_ties_with_zero(self):
+        records = make_records([1, 0, 1, 0], [0, 0, 0, 0], [-0.0, 0.0, 0.5, 0.25])
+        assert auc(records) == 0.625
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_midrank_oracle_bit_for_bit(self, data):
+        n = data.draw(st.integers(2, 60))
+        positives = data.draw(st.integers(1, n - 1))
+        truth = data.draw(st.permutations([1] * positives + [0] * (n - positives)))
+        value = st.floats(0.0, 1.0) | st.sampled_from([0.0, -0.0])
+        if data.draw(st.booleans()):
+            # heavy ties: every score from a pool of at most four values
+            value = st.sampled_from(data.draw(st.lists(value, min_size=1, max_size=4)))
+        scores = data.draw(st.lists(value, min_size=n, max_size=n))
+        block = Records("c", truth, truth, scores)
+        expected = midrank_oracle(truth, scores).hex()
+        assert auc(block).hex() == expected
+        assert auc(list(block)).hex() == expected
 
     def test_single_class_raises(self):
         with pytest.raises(UndefinedAUC):
